@@ -15,7 +15,6 @@ from .partitions import (
     zee,
 )
 from .tarith import (
-    TLaurent,
     TPoly,
     TRat,
     TSeries,
@@ -31,7 +30,6 @@ from .symfunc import (
     degree_bound,
     hall_inner,
     plethysm_geometric,
-    set_degree_bound,
 )
 from .specialize import (
     forgotten_at_one,

@@ -1,16 +1,15 @@
 """Command line surface: expansions, identity suites, and the bijection.
 
-All structured output is JSON on stdout; errors go to stderr.  Exit codes:
-0 success, 1 counterexample or invalid object, 2 usage.  Reports omit the
-wall-clock field unless asked, so default output is byte-identical across
-runs with the same parameters.
+All structured output is JSON on stdout; errors go to stderr as one line.
+Exit codes: 0 success, 1 counterexample or invalid object, 2 usage.
+Reports omit the wall-clock field unless asked, so default output is
+byte-identical across runs with the same parameters.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bijection import decorated_to_msequence, msequence_to_decorated
@@ -20,15 +19,27 @@ from .msequences import (
     generic_polynomial,
     monomials_of_e,
     monomials_of_h,
-    msequence_polynomial,
+    monomials_of_m,
+    monomials_of_s,
     osp_polynomial,
-    ssyt_polynomial,
 )
 from .oracle import delta_e
-from .partitions import Partition, partitions_of
+from .partitions import partitions_of
 from .symfunc import degree_bound
 from .tarith import TRat
 from .verify import SUITES, run_suite
+
+
+# The coefficient of each basis element of the Delta image is the budget
+# polynomial of a monomial expansion in k+1 variables: e_lam pairs with
+# m_lam, s_lam with s of the conjugate shape, f_lam with h_lam, m_lam with
+# e_lam.
+_MONOMIALS = {
+    "e": monomials_of_m,
+    "s": lambda lam, nvars: monomials_of_s(lam.conjugate(), nvars),
+    "f": monomials_of_h,
+    "m": monomials_of_e,
+}
 
 
 def _expansion_terms(n, k, basis):
@@ -36,18 +47,9 @@ def _expansion_terms(n, k, basis):
     the combinatorial models (no oracle)."""
     terms = []
     for lam in partitions_of(n):
-        if basis == "e":
-            coeff = TRat(msequence_polynomial(lam, k))
-        elif basis == "s":
-            coeff = TRat(ssyt_polynomial(lam.conjugate(), k))
-        elif basis == "f":
-            coeff = generic_polynomial(monomials_of_h(lam, k + 1), k)
-        elif basis == "m":
-            coeff = generic_polynomial(monomials_of_e(lam, k + 1), k)
-        else:
-            raise ValueError("unknown basis %r" % (basis,))
+        coeff = generic_polynomial(_MONOMIALS[basis](lam, k + 1), k)
         if not coeff.is_zero():
-            terms.append((lam, coeff.as_poly()))
+            terms.append((lam, coeff))
     return terms
 
 
@@ -68,8 +70,7 @@ def _cmd_expand(args):
         oracle_expr = delta_e(n, k).convert(args.basis)
         mismatches = []
         for lam in partitions_of(n):
-            combinatorial = dict(terms).get(lam)
-            combinatorial = TRat(combinatorial) if combinatorial else TRat(0)
+            combinatorial = TRat(dict(terms).get(lam, 0))
             if oracle_expr.coeff(lam) != combinatorial:
                 mismatches.append(
                     {
@@ -95,7 +96,7 @@ def _cmd_expand(args):
 
 
 def _cmd_verify(args):
-    options = {"threads": args.threads}
+    options = {}
     if args.suite == "involution":
         options.update(
             n_max=args.n_max if args.n_max is not None else 5,
@@ -123,11 +124,24 @@ def _read_object(raw):
     return json.loads(raw)
 
 
+# The bijection's time grows about quadratically with the rows of the path
+# (0.9 s at 1000 rows), and an M-sequence of a few bytes can ask for any
+# number of rows: its budgets sum to the row count.
+_MAX_ROWS = 1000
+
+
+def _check_rows(rows):
+    if rows > _MAX_ROWS:
+        raise ValueError("a path may have at most %d rows, not %d"
+                         % (_MAX_ROWS, rows))
+
+
 def _cmd_phi(args):
     try:
         decorated = DecoratedDyckPath.from_json(_read_object(args.object))
+        _check_rows(decorated.path.n)
         seq = decorated_to_msequence(decorated)
-    except (ValueError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
         print("invalid decorated path: %s" % err, file=sys.stderr)
         return 1
     print(json.dumps(seq.to_json()))
@@ -137,8 +151,9 @@ def _cmd_phi(args):
 def _cmd_phi_inverse(args):
     try:
         seq = MSequence.from_json(_read_object(args.object))
+        _check_rows(sum(seq.bvec()))
         decorated = msequence_to_decorated(seq)
-    except (ValueError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
         print("invalid sequence: %s" % err, file=sys.stderr)
         return 1
     print(json.dumps(decorated.to_json()))
@@ -155,11 +170,10 @@ def _cmd_hilbert(args):
 
 
 def _cmd_schur(args):
-    terms = []
-    for lam in partitions_of(args.n):
-        poly = ssyt_polynomial(lam.conjugate(), args.k)
-        if not poly.is_zero():
-            terms.append({"partition": lam.to_json(), "coeff": poly.to_json()})
+    terms = [
+        {"partition": lam.to_json(), "coeff": poly.to_json()}
+        for lam, poly in _expansion_terms(args.n, args.k, "s")
+    ]
     print(json.dumps({"n": args.n, "k": args.k, "terms": terms}, indent=2))
     return 0
 
@@ -171,8 +185,22 @@ def _positive(value):
     return out
 
 
+def _nonnegative(value):
+    out = int(value)
+    if out < 0:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer")
+    return out
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deltaq1",
         description="Exact expansions and identity checks for the Delta "
         "operator image of e_n at q=1.",
@@ -194,11 +222,7 @@ def build_parser():
     verify.add_argument("suite", choices=SUITES)
     verify.add_argument("--n-max", type=_positive, default=None)
     verify.add_argument("--k-max", type=_positive, default=None)
-    verify.add_argument("--degree-max", type=int, default=None)
-    verify.add_argument(
-        "--threads", type=_positive, default=os.cpu_count() or 1,
-        help="cap on worker threads; output bytes do not depend on it",
-    )
+    verify.add_argument("--degree-max", type=_nonnegative, default=None)
     verify.add_argument(
         "--audit", type=int, default=None, metavar="DEGREE",
         help="involution only: dump the pairings of one degree slice",
@@ -237,12 +261,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("expand", "schur"):
-        if not args.k <= args.n <= degree_bound():
-            parser.error("need 1 <= k <= n <= %d" % degree_bound())
-    if args.command == "hilbert":
-        if args.k is not None and not args.k <= args.n:
-            parser.error("need k <= n")
+    n = args.n_max if args.command == "verify" else getattr(args, "n", None)
+    if n is not None and n > degree_bound():
+        parser.error("need n <= %d" % degree_bound())
+    if getattr(args, "k", None) is not None and args.k > args.n:
+        parser.error("need k <= n")
     return args.func(args)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .partitions import Partition
-from .tarith import TPoly, TLaurent, ONE
+from .tarith import TPoly
 
 
 class DyckPath:
@@ -147,24 +147,30 @@ def enumerate_paths(n):
 
 
 def decoration_weights(path, max_count):
-    """Laurent coefficients, by decoration count 0..max_count, of the product
-    (1 + w) * prod over decorable rows of (1 + w * t^(-alpha_row))."""
-    coeffs = [TLaurent(ONE)] + [TLaurent(0)] * max_count
-    factors = [0] + [-path.alpha(i) for i in path.rises()]
-    for off in factors:
-        term = TLaurent.t_power(off)
-        for j in range(min(len(factors), max_count), 0, -1):
-            coeffs[j] = coeffs[j] + coeffs[j - 1] * term
+    """Decorated-area polynomials by decoration count 0..max_count: entry j
+    is the sum of t^(area - sum of alpha over the decorated rows) over the
+    j-sets of {origin} union the decorable rows.
+
+    This is the w-expansion of t^R * (t^0 + w) * prod over decorable rows of
+    (t^alpha_row + w), where R is the area outside the decorable rows, so
+    every exponent stays nonnegative.
+    """
+    rest = path.area() - sum(path.alpha(i) for i in path.rises())
+    coeffs = [TPoly.t_power(rest)] + [TPoly()] * max_count
+    for alpha in [0] + [path.alpha(i) for i in path.rises()]:
+        for j in range(max_count, 0, -1):
+            coeffs[j] = coeffs[j].shift(alpha) + coeffs[j - 1]
+        coeffs[0] = coeffs[0].shift(alpha)
     return coeffs
 
 
 def decoration_weight(path, count):
-    """Single Laurent coefficient of decoration_weights; zero past the
-    number of available rows plus one (for the origin)."""
+    """Single entry of decoration_weights; zero past the number of
+    available rows plus one (for the origin)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count > len(path.rises()) + 1:
-        return TLaurent(0)
+        return TPoly()
     return decoration_weights(path, count)[count]
 
 

@@ -1,19 +1,31 @@
 """Fixed-point combinatorial models and their t-generating polynomials.
 
-Four families share one skeleton: a vector (b_1, ..., b_{k+1}) of budgets
-drawn from some expansion of a symmetric function in k+1 variables, and an
-admissible vector (a_1, ..., a_{k+1}) with a_1 = 0 and a_{i+1} < a_i + b_i.
-Specializing the budgets gives M-sequences (monomial expansion), ordered
-set partition sequences (p_1^n), and tableau sequences (Schur).
+Every model here is a pair of vectors in k+1 slots: budgets (b_1, ...,
+b_{k+1}) and an admissible vector (a_1, ..., a_{k+1}) with a_1 = 0 and
+a_{i+1} < a_i + b_i, weighted by t^(a_1 + ... + a_{k+1}).  The models
+differ only in where the budgets come from: a monomial in the expansion of
+a symmetric function in k+1 variables, counted with its coefficient.  So
+one engine, ``generic_polynomial``, computes every t-generating polynomial
+from an integer monomial expansion:
+
+* M-sequences for lam: the monomial function m_lam (``monomials_of_m``);
+* ordered set partition sequences for n: p_1^n (``monomials_of_p1n``);
+* tableau sequences for lam: the Schur function s_lam (``monomials_of_s``);
+* the other coefficients of the Delta image: e_lam and h_lam.
+
+The object enumerators (``msequences``, ``osp_sequences``,
+``ssyt_sequences``) list the same objects one by one for the bijection, the
+involution and the tests.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product as _cartesian
+from functools import lru_cache
+from itertools import combinations, product
+from math import factorial
 
-from .partitions import Partition, padded_rearrangements, partitions_of
-from .tarith import TPoly, TRat
+from .partitions import Partition, padded_rearrangements
+from .tarith import TPoly
 
 
 def admissible_avectors(bvec):
@@ -33,26 +45,64 @@ def admissible_avectors(bvec):
     return out
 
 
+def _add(p, q):
+    """Sum of two coefficient lists."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, x in enumerate(q):
+        out[i] += x
+    return out
+
+
+@lru_cache(maxsize=None)
+def _prefix_polynomial(budgets):
+    """A(b) for every b that starts with ``budgets`` and has one more slot.
+
+    by_last[a] holds the t-polynomial of the admissible prefixes ending in
+    a.  The next coordinate may be any a' < a + b, so its polynomial is
+    t^a' times the sum of by_last[a] over a >= a' - b + 1, and one pass of
+    suffix sums gives every a' at once.
+    """
+    by_last = [[1]]
+    for b in budgets:
+        tails = []
+        acc = []
+        for poly in reversed(by_last):
+            acc = _add(acc, poly)
+            tails.append(acc)
+        tails.reverse()
+        by_last = [
+            [0] * a + tails[max(0, a - b + 1)]
+            for a in range(len(by_last) + b - 1)
+        ]
+        if not by_last:  # no admissible prefix
+            return TPoly()
+    total = []
+    for poly in by_last:
+        total = _add(total, poly)
+    return TPoly(total)
+
+
 def _avector_polynomial(bvec):
-    """Generating polynomial sum of t^(a_1 + ... + a_m) over admissible
-    vectors, by dynamic programming over (last coordinate, running total)."""
-    states = {(0, 0): 1}
-    for b in bvec[:-1]:
-        nxt = {}
-        for (last, tot), cnt in states.items():
-            for a2 in range(last + b):
-                key = (a2, tot + a2)
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-    acc = {}
-    for (_, tot), cnt in states.items():
-        acc[tot] = acc.get(tot, 0) + cnt
-    if not acc:
-        return TPoly()
-    coeffs = [0] * (max(acc) + 1)
-    for tot, cnt in acc.items():
-        coeffs[tot] = cnt
-    return TPoly(coeffs)
+    """A(b): the sum of t^(a_1 + ... + a_m) over the admissible vectors of
+    b.  The last budget bounds no coordinate, so the cache ignores it."""
+    return _prefix_polynomial(tuple(bvec[:-1]))
+
+
+def generic_polynomial(monomials, k):
+    """Sum over monomials (integer coeff, exponent vector of length k+1) of
+    coeff * A(exponent vector): the t-generating polynomial of the model
+    whose budgets are drawn from that monomial expansion."""
+    acc = []
+    for coeff, exps in monomials:
+        if not isinstance(coeff, int):
+            raise TypeError("monomial coefficient %r is not an integer" % (coeff,))
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != k + 1:
+            raise ValueError("exponent vector %r has length != %d" % (exps, k + 1))
+        acc = _add(acc, [coeff * c for c in _avector_polynomial(exps).coeffs])
+    return TPoly(acc)
 
 
 class MSequence:
@@ -139,36 +189,9 @@ def msequences(lam, k):
 
 def msequence_polynomial(lam, k):
     """Sum of t^rho over the M-sequences for lam and k."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
     if k < 1:
         raise ValueError("k must be positive")
-    if len(lam) > k + 1:
-        return TPoly()
-    acc = TPoly()
-    for bvec in padded_rearrangements(lam, k + 1):
-        acc = acc + _avector_polynomial(bvec)
-    return acc
-
-
-def generic_polynomial(monomials, k):
-    """Sum over monomials (coeff, exponent vector of length k+1) of
-    coeff * t^(a_1 + ... + a_{k+1}) over admissible vectors.
-
-    Coefficients may be rational, so the result is a TRat.
-    """
-    acc = TRat(0)
-    for coeff, exps in monomials:
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != k + 1:
-            raise ValueError("exponent vector %r has length != %d" % (exps, k + 1))
-        poly = _avector_polynomial(exps)
-        if poly.is_zero():
-            continue
-        if isinstance(coeff, Fraction):
-            acc = acc + TRat.from_fraction(coeff) * poly
-        else:
-            acc = acc + TRat(poly * int(coeff))
-    return acc
+    return generic_polynomial(monomials_of_m(lam, k + 1), k)
 
 
 class OSPSequence:
@@ -227,7 +250,7 @@ def osp_sequences(n, k):
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     out = []
-    for assignment in _cartesian(range(k + 1), repeat=n):
+    for assignment in product(range(k + 1), repeat=n):
         blocks = [set() for _ in range(k + 1)]
         for element, slot in zip(range(1, n + 1), assignment):
             blocks[slot].add(element)
@@ -242,13 +265,7 @@ def osp_polynomial(n, k):
     series of the Delta image)."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    acc = TPoly()
-    for assignment in _cartesian(range(k + 1), repeat=n):
-        sizes = [0] * (k + 1)
-        for slot in assignment:
-            sizes[slot] += 1
-        acc = acc + _avector_polynomial(tuple(sizes))
-    return acc
+    return generic_polynomial(monomials_of_p1n(n, k + 1), k)
 
 
 def ssyt_fillings(lam, max_entry):
@@ -357,11 +374,7 @@ def ssyt_sequences(lam, k):
 def ssyt_polynomial(lam, k):
     """Sum of t^weight over tableau sequences (the q=1 Schur coefficient of
     the conjugate shape)."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    acc = TPoly()
-    for tableau in ssyt_fillings(lam, k + 1):
-        acc = acc + _avector_polynomial(tableau_content(tableau, k + 1))
-    return acc
+    return generic_polynomial(monomials_of_s(lam, k + 1), k)
 
 
 def monomials_of_m(lam, nvars):
@@ -374,8 +387,6 @@ def monomials_of_m(lam, nvars):
 
 def monomials_of_p1n(n, nvars):
     """Monomial expansion of p_1^n in nvars variables."""
-    from math import factorial
-
     out = []
 
     def rec(prefix, remaining):
@@ -404,8 +415,6 @@ def _exponent_product(a, b):
 
 def _monomials_of_er(r, nvars):
     out = {}
-    from itertools import combinations
-
     for chosen in combinations(range(nvars), r):
         exps = tuple(1 if i in chosen else 0 for i in range(nvars))
         out[exps] = 1

@@ -21,20 +21,14 @@ _DEGREE_BOUND = 10
 
 
 def degree_bound():
+    """The largest degree whose transition tables are built; every command
+    that takes a degree checks it first."""
     return _DEGREE_BOUND
-
-
-def set_degree_bound(n):
-    """Raise or lower the guard on table-building degree."""
-    global _DEGREE_BOUND
-    if n < 0:
-        raise ValueError("bound must be nonnegative")
-    _DEGREE_BOUND = n
 
 
 def _check_degree(n):
     if n > _DEGREE_BOUND:
-        raise ValueError("degree %d exceeds configured bound %d" % (n, _DEGREE_BOUND))
+        raise ValueError("degree %d exceeds bound %d" % (n, _DEGREE_BOUND))
 
 
 def _eps(mu):

@@ -1,9 +1,8 @@
 """Exact coefficient arithmetic in the variable t.
 
-Four value types, all immutable:
+Three value types, all immutable:
 
 * ``TPoly``    integer polynomial, coefficients indexed by power of t;
-* ``TLaurent`` integer Laurent polynomial (a TPoly shifted by an offset);
 * ``TSeries``  power series truncated at a fixed order;
 * ``TRat``     reduced ratio of two integer polynomials.
 
@@ -44,7 +43,7 @@ class TPoly:
     @classmethod
     def t_power(cls, k):
         if k < 0:
-            raise ValueError("use TLaurent for negative powers")
+            raise ValueError("negative power of t")
         return cls([0] * k + [1])
 
     @property
@@ -73,7 +72,7 @@ class TPoly:
     def shift(self, k):
         """Multiply by t**k (k >= 0)."""
         if k < 0:
-            raise ValueError("negative shift; use TLaurent")
+            raise ValueError("negative shift")
         if not self._c:
             return self
         return TPoly((0,) * k + self._c)
@@ -252,120 +251,6 @@ def divexact(a, b):
     if any(q.denominator != 1 for q in quot):
         raise ValueError("quotient is not an integer polynomial")
     return TPoly(int(q) for q in quot)
-
-
-class TLaurent:
-    """Integer Laurent polynomial: TPoly coefficients starting at ``offset``.
-
-    Canonical form has a nonzero coefficient at the offset position unless
-    the value is zero (then offset is 0).
-    """
-
-    __slots__ = ("_off", "_poly")
-
-    def __init__(self, poly, offset=0):
-        poly = _as_tpoly(poly)
-        if poly.is_zero():
-            self._off, self._poly = 0, ZERO
-            return
-        low = 0
-        while poly.coeff(low) == 0:
-            low += 1
-        if low:
-            poly = TPoly(poly.coeffs[low:])
-        self._off, self._poly = offset + low, poly
-
-    @classmethod
-    def t_power(cls, k):
-        return cls(ONE, k)
-
-    @property
-    def offset(self):
-        return self._off
-
-    @property
-    def poly(self):
-        return self._poly
-
-    def is_zero(self):
-        return self._poly.is_zero()
-
-    def coeff(self, power):
-        return self._poly.coeff(power - self._off)
-
-    def min_power(self):
-        return self._off
-
-    def max_power(self):
-        return self._off + self._poly.degree
-
-    def times_t(self, k):
-        return TLaurent(self._poly, self._off + k)
-
-    def to_tpoly(self):
-        if self.is_zero():
-            return ZERO
-        if self._off < 0:
-            raise ValueError("%r has negative powers of t" % (self,))
-        return self._poly.shift(self._off)
-
-    def __eq__(self, other):
-        if isinstance(other, (TPoly, int)):
-            other = TLaurent(other)
-        if not isinstance(other, TLaurent):
-            return NotImplemented
-        return self._off == other._off and self._poly == other._poly
-
-    def __hash__(self):
-        return hash((self._off, self._poly))
-
-    def __neg__(self):
-        return TLaurent(-self._poly, self._off)
-
-    def __add__(self, other):
-        if isinstance(other, (TPoly, int)):
-            other = TLaurent(other)
-        if not isinstance(other, TLaurent):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        off = min(self._off, other._off)
-        return TLaurent(
-            self._poly.shift(self._off - off) + other._poly.shift(other._off - off),
-            off,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (TPoly, int)):
-            other = TLaurent(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (TPoly, int)):
-            other = TLaurent(other)
-        if not isinstance(other, TLaurent):
-            return NotImplemented
-        return TLaurent(self._poly * other._poly, self._off + other._off)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        if self._off == 0:
-            return repr(self._poly)
-        return "t^%d * (%r)" % (self._off, self._poly)
-
-    def to_json(self):
-        return {"offset": self._off, "coeffs": self._poly.to_json()}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(TPoly.from_json(data["coeffs"]), data["offset"])
 
 
 class TSeries:

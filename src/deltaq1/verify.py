@@ -1,15 +1,13 @@
 """Identity suites over parameter ranges, with machine-readable reports.
 
-Each suite walks a deterministic case list and stops at the first
-counterexample, serializing both sides.  Evaluation may be spread over a
-thread pool; results are collected in case order so a report's content
-never depends on scheduling.
+Each suite walks a deterministic case list in order and stops at the first
+counterexample, serializing both sides.  A suite with no cases reports
+"empty", never a vacuous "pass".
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .bijection import decorated_to_msequence, msequence_to_decorated
 from .diagrams import diagrams_of_weight, fixed_to_msequence, involution
@@ -23,32 +21,30 @@ from .msequences import (
 from .oracle import delta_e, haglund_check
 from .partitions import Partition, partitions_of
 from .symfunc import SymFuncExpr, hall_inner
-from .tarith import TLaurent, TPoly, TRat
+from .tarith import TPoly, TRat
 
 SUITES = ("eq1", "eq2", "bijection", "involution", "hilbert", "schur", "haglund")
 
 
-def _map_cases(fn, cases, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cases))
-    return [fn(c) for c in cases]
-
-
-def _report(name, parameters, cases, failures, started):
+def _report(name, parameters, cases, run, started):
+    failure = next(filter(None, map(run, cases)), None)
+    if failure:
+        status = "fail"
+    else:
+        status = "pass" if cases else "empty"
     report = {
         "identity": name,
         "parameters": parameters,
-        "cases": cases,
-        "status": "fail" if failures else "pass",
+        "cases": len(cases),
+        "status": status,
     }
-    if failures:
-        report["counterexample"] = failures[0]
+    if failure:
+        report["counterexample"] = failure
     report["duration_seconds"] = round(time.monotonic() - started, 3)
     return report
 
 
-def check_eq1(n_max=6, threads=1):
+def check_eq1(n_max=6):
     """Elementary-basis expansion from M-sequences against the eigenoperator
     route, coefficient by coefficient."""
     started = time.monotonic()
@@ -69,11 +65,10 @@ def check_eq1(n_max=6, threads=1):
                 }
         return None
 
-    failures = [f for f in _map_cases(run, cases, threads) if f]
-    return _report("eq1", {"n_max": n_max}, len(cases), failures, started)
+    return _report("eq1", {"n_max": n_max}, cases, run, started)
 
 
-def check_eq2(n_max=7, threads=1):
+def check_eq2(n_max=7):
     """M-sequence polynomials against area-weighted decoration sums over
     Dyck paths grouped by vertical run partition."""
     started = time.monotonic()
@@ -85,11 +80,10 @@ def check_eq2(n_max=7, threads=1):
         sums = {}
         for path in paths_by_n[n]:
             lam = path.vertical_run_partition()
-            term = decoration_weight(path, n - k).times_t(path.area())
-            sums[lam] = sums.get(lam, TLaurent(0)) + term
+            sums[lam] = sums.get(lam, TPoly()) + decoration_weight(path, n - k)
         for lam in partitions_of(n):
-            lhs = TLaurent(msequence_polynomial(lam, k))
-            rhs = sums.get(lam, TLaurent(0))
+            lhs = msequence_polynomial(lam, k)
+            rhs = sums.get(lam, TPoly())
             if lhs != rhs:
                 return {
                     "n": n,
@@ -100,11 +94,10 @@ def check_eq2(n_max=7, threads=1):
                 }
         return None
 
-    failures = [f for f in _map_cases(run, cases, threads) if f]
-    return _report("eq2", {"n_max": n_max}, len(cases), failures, started)
+    return _report("eq2", {"n_max": n_max}, cases, run, started)
 
 
-def check_bijection(n_max=7, threads=1):
+def check_bijection(n_max=7):
     """Round trips in both directions, with weight transport and matching
     object counts for every (n, k, run partition)."""
     started = time.monotonic()
@@ -136,17 +129,14 @@ def check_bijection(n_max=7, threads=1):
                             "reason": "inverse weight not preserved"}
         return None
 
-    failures = [f for f in _map_cases(run, cases, threads) if f]
-    return _report("bijection", {"n_max": n_max}, len(cases), failures, started)
+    return _report("bijection", {"n_max": n_max}, cases, run, started)
 
 
-def check_involution(n_max=5, k_max=3, degree_max=8, threads=1, audit_degree=None):
+def check_involution(n_max=5, k_max=3, degree_max=8, audit_degree=None):
     """Involution laws on every degree slice: pairs have equal weight and
     opposite sign and map back; fixed points are exactly the M-sequences;
     signed counts match the M-polynomial coefficients."""
     started = time.monotonic()
-    if audit_degree is not None:
-        threads = 1  # keep the audit trail in case order
     cases = [
         (n, k, lam, d)
         for n in range(1, n_max + 1)
@@ -196,12 +186,11 @@ def check_involution(n_max=5, k_max=3, degree_max=8, threads=1, audit_degree=Non
                     "reason": "signed count %d != coefficient %d" % (signed, coeff)}
         return None
 
-    failures = [f for f in _map_cases(run, cases, threads) if f]
     report = _report(
         "involution",
         {"n_max": n_max, "k_max": k_max, "degree_max": degree_max},
-        len(cases),
-        failures,
+        cases,
+        run,
         started,
     )
     if audit_degree is not None:
@@ -209,7 +198,7 @@ def check_involution(n_max=5, k_max=3, degree_max=8, threads=1, audit_degree=Non
     return report
 
 
-def check_hilbert(n_max=5, threads=1):
+def check_hilbert(n_max=5):
     """Ordered-set-partition polynomials against the oracle inner product
     with the n-th power of the first power sum."""
     started = time.monotonic()
@@ -226,11 +215,10 @@ def check_hilbert(n_max=5, threads=1):
                     "oracle_side": via_oracle.to_json()}
         return None
 
-    failures = [f for f in _map_cases(run, cases, threads) if f]
-    return _report("hilbert", {"n_max": n_max}, len(cases), failures, started)
+    return _report("hilbert", {"n_max": n_max}, cases, run, started)
 
 
-def check_schur(n_max=5, threads=1):
+def check_schur(n_max=5):
     """Tableau-sequence polynomials against the oracle Schur coefficients,
     including nonnegativity of every coefficient."""
     started = time.monotonic()
@@ -253,11 +241,10 @@ def check_schur(n_max=5, threads=1):
                         "reason": "negative coefficient"}
         return None
 
-    failures = [f for f in _map_cases(run, cases, threads) if f]
-    return _report("schur", {"n_max": n_max}, len(cases), failures, started)
+    return _report("schur", {"n_max": n_max}, cases, run, started)
 
 
-def check_haglund(n_max=5, threads=1):
+def check_haglund(n_max=5):
     """The duality between pairing with a forgotten element and applying the
     Delta operator for its omega image, across all degrees and k."""
     started = time.monotonic()
@@ -276,8 +263,7 @@ def check_haglund(n_max=5, threads=1):
                     "reason": "identity fails"}
         return None
 
-    failures = [f for f in _map_cases(run, cases, threads) if f]
-    return _report("haglund", {"n_max": n_max}, len(cases), failures, started)
+    return _report("haglund", {"n_max": n_max}, cases, run, started)
 
 
 _RUNNERS = {

@@ -150,7 +150,7 @@ def test_criterion_7_schur_expansion():
                 via_forgotten = generic_polynomial(monomials_of_h(lam, k + 1), k)
                 if image.convert("f").coeff(lam) != via_forgotten:
                     ok = False
-                if any(c < 0 for c in via_forgotten.as_poly().coeffs):
+                if any(c < 0 for c in via_forgotten.coeffs):
                     ok = False
     _conclude("7 (Schur expansion and t-positivity, n <= 5)", ok)
 

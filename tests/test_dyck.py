@@ -11,7 +11,7 @@ from deltaq1.dyck import (
     enumerate_paths,
 )
 from deltaq1.partitions import Partition
-from deltaq1.tarith import ONE, TLaurent, TPoly
+from deltaq1.tarith import ONE, TPoly
 
 
 def catalan(n):
@@ -63,10 +63,11 @@ def test_steps_word():
 
 
 def test_decoration_weight_examples():
-    assert decoration_weight(DyckPath((0, 0)), 1) == TLaurent(ONE)
-    assert decoration_weight(DyckPath((0, 1)), 1) == TLaurent(TPoly([1, 1]), -1)
+    # one decoration: the origin (area kept) or row 2 (its cell discounted)
+    assert decoration_weight(DyckPath((0, 0)), 1) == ONE
+    assert decoration_weight(DyckPath((0, 1)), 1) == TPoly([1, 1])
     for path in enumerate_paths(4):
-        assert decoration_weight(path, 0) == TLaurent(ONE)
+        assert decoration_weight(path, 0) == TPoly.t_power(path.area())
         assert decoration_weight(path, path.n + 1).is_zero()
 
 
@@ -104,16 +105,16 @@ def test_decorated_area_nonnegative():
 
 
 def test_decoration_weight_matches_enumeration():
-    # t^area * (coefficient of w^j) enumerates decoration sets of size j
+    # entry j enumerates the decoration sets of size j by decorated area
     for n in range(1, 7):
         for path in enumerate_paths(n):
             candidates = [0] + path.rises()
             for j in range(len(candidates) + 2):
-                total = TLaurent(0)
+                total = TPoly()
                 for rows in combinations(candidates, j):
                     decorated = DecoratedDyckPath(path, rows)
-                    total = total + TLaurent.t_power(decorated.decorated_area())
-                assert total == decoration_weight(path, j).times_t(path.area())
+                    total = total + TPoly.t_power(decorated.decorated_area())
+                assert total == decoration_weight(path, j)
 
 
 def test_json_round_trip():

@@ -9,6 +9,7 @@ from deltaq1.msequences import (
     MSequence,
     OSPSequence,
     SSYTSequence,
+    admissible_avectors,
     generic_polynomial,
     monomials_of_e,
     monomials_of_h,
@@ -24,7 +25,7 @@ from deltaq1.msequences import (
     ssyt_sequences,
 )
 from deltaq1.partitions import Partition, partitions_of
-from deltaq1.tarith import TPoly, TRat
+from deltaq1.tarith import TPoly
 
 
 def test_msequence_examples():
@@ -178,26 +179,34 @@ def test_ssyt_validation():
 
 
 def test_generic_polynomial_examples():
-    assert generic_polynomial(monomials_of_m([2], 2), 1) == TRat(TPoly([1, 1]))
-    assert generic_polynomial(monomials_of_p1n(2, 2), 1) == TRat(TPoly([3, 1]))
-    assert generic_polynomial([], 1) == TRat(0)
-    half = generic_polynomial([(Fraction(1, 2), (2, 0))], 1)
-    assert half == TRat.from_fraction(Fraction(1, 2)) * TPoly([1, 1])
+    assert generic_polynomial(monomials_of_m([2], 2), 1) == TPoly([1, 1])
+    assert generic_polynomial(monomials_of_p1n(2, 2), 1) == TPoly([3, 1])
+    assert generic_polynomial([], 1) == TPoly()
+    with pytest.raises(TypeError):
+        generic_polynomial([(Fraction(1, 2), (2, 0))], 1)
+    with pytest.raises(ValueError):
+        generic_polynomial([(1, (2, 0))], 2)
 
 
 def test_generic_polynomial_specializes():
+    # the engine against a direct sum over admissible vectors, for every
+    # monomial expansion the models and the expand command use
+    def direct(monomials):
+        acc = TPoly()
+        for coeff, exps in monomials:
+            for avec in admissible_avectors(exps):
+                acc = acc + coeff * TPoly.t_power(sum(avec))
+        return acc
+
     for n in range(1, 6):
         for k in range(1, n + 1):
-            assert generic_polynomial(monomials_of_p1n(n, k + 1), k) == TRat(
-                osp_polynomial(n, k)
-            )
+            expansion = monomials_of_p1n(n, k + 1)
+            assert generic_polynomial(expansion, k) == direct(expansion)
             for lam in partitions_of(n):
-                assert generic_polynomial(monomials_of_m(lam, k + 1), k) == TRat(
-                    msequence_polynomial(lam, k)
-                )
-                assert generic_polynomial(monomials_of_s(lam, k + 1), k) == TRat(
-                    ssyt_polynomial(lam, k)
-                )
+                for expand in (monomials_of_m, monomials_of_s, monomials_of_e,
+                               monomials_of_h):
+                    expansion = expand(lam, k + 1)
+                    assert generic_polynomial(expansion, k) == direct(expansion)
 
 
 def test_monomial_expansions_are_symmetric_sums():
@@ -224,7 +233,7 @@ bvecs = st.lists(st.integers(0, 3), min_size=2, max_size=5).filter(
 @given(bvecs)
 @settings(max_examples=50, deadline=None)
 def test_avector_polynomial_counts(bvec):
-    from deltaq1.msequences import _avector_polynomial, admissible_avectors
+    from deltaq1.msequences import _avector_polynomial
 
     vectors = admissible_avectors(tuple(bvec))
     poly = _avector_polynomial(tuple(bvec))

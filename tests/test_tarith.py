@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from deltaq1.tarith import (
     ONE,
-    TLaurent,
     TPoly,
     TRat,
     TSeries,
@@ -106,25 +105,6 @@ def test_rat_series_example():
 def test_rat_json():
     r = TRat(TPoly([0, 1]), TPoly([1, 0, -1]))
     assert TRat.from_json(r.to_json()) == r
-
-
-def test_laurent_basics():
-    h = TLaurent(TPoly([1, 1]), -1)
-    assert h.min_power() == -1 and h.coeff(-1) == 1 and h.coeff(0) == 1
-    assert h.times_t(1) == TLaurent(TPoly([1, 1]))
-    assert h.times_t(1).to_tpoly() == TPoly([1, 1])
-    with pytest.raises(ValueError):
-        h.to_tpoly()
-    assert TLaurent(TPoly([0, 0, 3]), -1) == TLaurent(TPoly([3]), 1)
-    assert TLaurent.from_json(h.to_json()) == h
-
-
-def test_laurent_arithmetic():
-    a = TLaurent(TPoly([1]), -2)
-    b = TLaurent(TPoly([1]), 2)
-    assert a * b == TLaurent(ONE)
-    assert a + b == TLaurent(TPoly([1, 0, 0, 0, 1]), -2)
-    assert (a - a).is_zero()
 
 
 @given(small_polys, small_polys)

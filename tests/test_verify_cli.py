@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaq1.cli import main
 from deltaq1.verify import run_suite
@@ -22,12 +26,10 @@ def test_suite_reports_pass_and_are_deterministic():
     assert json.dumps(first) == json.dumps(second)
 
 
-def test_suite_threads_do_not_change_content():
-    serial = run_suite("eq2", n_max=4, threads=1)
-    parallel = run_suite("eq2", n_max=4, threads=4)
-    serial.pop("duration_seconds")
-    parallel.pop("duration_seconds")
-    assert serial == parallel
+def test_suite_without_cases_does_not_pass():
+    report = run_suite("eq1", n_max=0)
+    assert report["cases"] == 0
+    assert report["status"] == "empty"
 
 
 def test_unknown_suite_rejected():
@@ -73,11 +75,28 @@ def test_expand_usage_errors():
     assert exc.value.code == 2
 
 
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err.splitlines()) == 1 and "error:" in err
+    return err
+
+
+def test_usage_guards_cover_every_command(capsys):
+    assert "n <= 10" in usage_error(capsys, "hilbert", "11")
+    assert "n <= 10" in usage_error(capsys, "verify", "eq1", "--n-max", "11")
+    assert "n <= 10" in usage_error(capsys, "schur", "11", "2")
+    assert "k <= n" in usage_error(capsys, "hilbert", "3", "--k", "4")
+    assert "nonnegative" in usage_error(
+        capsys, "verify", "involution", "--degree-max", "-3"
+    )
+
+
 def test_verify_cli_output_is_stable(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "eq2", "--n-max", "4")
-    code2, out2, _ = run_cli(
-        capsys, "verify", "eq2", "--n-max", "4", "--threads", "3"
-    )
+    code2, out2, _ = run_cli(capsys, "verify", "eq2", "--n-max", "4")
     assert code1 == code2 == 0
     assert out1 == out2
     assert "duration_seconds" not in out1
@@ -158,3 +177,34 @@ def test_schur_cli(capsys):
         {"partition": [2], "coeff": ["1"]},
         {"partition": [1, 1], "coeff": ["2", "1"]},
     ]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(
+        st.sampled_from(["area_seq", "decorated_rows", "pairs", "x"]), children,
+        max_size=3,
+    ),
+    max_leaves=12,
+)
+small = st.integers(-1, 6)
+shaped_objects = st.fixed_dictionaries(
+    {"area_seq": st.lists(small, max_size=8),
+     "decorated_rows": st.lists(small, max_size=4)}
+) | st.fixed_dictionaries(
+    {"pairs": st.lists(st.lists(small, min_size=2, max_size=2), max_size=8)}
+)
+
+
+@given(st.sampled_from(["phi", "phi-inverse"]), json_values | shaped_objects)
+@settings(max_examples=300, deadline=None)
+def test_phi_commands_accept_any_json(command, value):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        # "--" keeps a value such as -1e+16 from reading as an option
+        code = main([command, "--", json.dumps(value)])
+    assert code in (0, 1)
+    if code == 1:
+        assert len(stderr.getvalue().splitlines()) == 1
+        assert "Traceback" not in stderr.getvalue()
