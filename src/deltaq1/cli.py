@@ -27,7 +27,7 @@ from .oracle import delta_e
 from .partitions import partitions_of
 from .symfunc import degree_bound
 from .tarith import TRat
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, suite_options
 
 
 # The coefficient of each basis element of the Delta image is the budget
@@ -96,21 +96,8 @@ def _cmd_expand(args):
 
 
 def _cmd_verify(args):
-    options = {}
-    if args.suite == "involution":
-        options.update(
-            n_max=args.n_max if args.n_max is not None else 5,
-            k_max=args.k_max if args.k_max is not None else 3,
-            degree_max=args.degree_max if args.degree_max is not None else 8,
-        )
-        if args.audit is not None:
-            options["audit_degree"] = args.audit
-    else:
-        defaults = {"eq1": 6, "eq2": 7, "bijection": 7,
-                    "hilbert": 5, "schur": 5, "haglund": 5}
-        options["n_max"] = (
-            args.n_max if args.n_max is not None else defaults[args.suite]
-        )
+    options = {name: getattr(args, name) for name in suite_options(args.suite)
+               if getattr(args, name) is not None}
     report = run_suite(args.suite, **options)
     if not args.timing:
         report.pop("duration_seconds", None)
@@ -129,11 +116,34 @@ def _read_object(raw):
 # number of rows: its budgets sum to the row count.
 _MAX_ROWS = 1000
 
+# The involution suite enumerates every labelled diagram of weight up to
+# --degree-max; their number grows 3-10x per step of k.  At the degree bound
+# (--n-max 10) on a 2-core VM, --k-max 3 --degree-max 8 (the defaults) takes
+# 51 s and --k-max 4 --degree-max 8 (both caps) 612 s.
+_MAX_K = 4
+_MAX_DEGREE = 8
+
 
 def _check_rows(rows):
     if rows > _MAX_ROWS:
         raise ValueError("a path may have at most %d rows, not %d"
                          % (_MAX_ROWS, rows))
+
+
+def _verify_usage(args):
+    """Why the verify options are unusable (an option the suite does not
+    read, or a value out of range), or None."""
+    reads = suite_options(args.suite)
+    degree_max = (reads.get("degree_max") if args.degree_max is None
+                  else args.degree_max)
+    for name, low, high in (("k_max", 1, _MAX_K), ("audit", 0, degree_max),
+                            ("degree_max", 0, _MAX_DEGREE)):
+        value, flag = getattr(args, name), "--" + name.replace("_", "-")
+        if value is not None and name not in reads:
+            return "suite %s does not read %s" % (args.suite, flag)
+        if value is not None and not low <= value <= high:
+            return "need %d <= %s <= %d" % (low, flag, high)
+    return None
 
 
 def _cmd_phi(args):
@@ -225,7 +235,8 @@ def build_parser():
     verify.add_argument("--degree-max", type=_nonnegative, default=None)
     verify.add_argument(
         "--audit", type=int, default=None, metavar="DEGREE",
-        help="involution only: dump the pairings of one degree slice",
+        help="involution only: dump the pairings of one degree slice "
+        "(0..degree-max)",
     )
     verify.add_argument(
         "--timing", action="store_true",
@@ -266,6 +277,9 @@ def main(argv=None):
         parser.error("need n <= %d" % degree_bound())
     if getattr(args, "k", None) is not None and args.k > args.n:
         parser.error("need k <= n")
+    problem = _verify_usage(args) if args.command == "verify" else None
+    if problem:
+        parser.error(problem)
     return args.func(args)
 
 

@@ -1,11 +1,13 @@
 """Independent computation of the Delta operator image at q=1.
 
-The modified Macdonald basis element indexed by mu specializes at q=1 to a
-product of pochhammer factors and geometric plethysms of complete
-homogeneous pieces; the Delta operator acts on each such piece by the
-plethystic evaluation of its defining symmetric function at the
-t-staircase alphabet of mu.  Expanding e_n over those pieces makes the
-whole image computable in exact rational arithmetic, entirely at q=1.
+At q=1 the modified Macdonald element indexed by mu is a product of
+pochhammer factors and the geometric plethysm X -> X/(1-t) of h_mu, and
+e_n = sum over mu of f_mu[1-t] * h_mu[X/(1-t)].  The Delta operator for f
+scales the mu-th piece by its eigenvalue f[B_mu], the plethystic evaluation
+of f at the t-staircase alphabet of mu.  The plethysm is linear, so the
+image is one map: the eigenvalues weight the h_mu coefficients f_mu[1-t],
+and the plethysm is applied once to that sum.  Everything is exact and
+entirely at q=1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .symfunc import (
     hall_inner,
     plethysm_geometric,
 )
-from .tarith import ONE, TPoly, TRat, RAT_ZERO, t_pochhammer
+from .tarith import ONE, TPoly, RAT_ZERO, t_pochhammer
 
 
 def _staircase_monomials(mu):
@@ -48,11 +50,9 @@ def eval_at_staircase(expr, mu):
     pexpr = expr.convert("p")
     total = RAT_ZERO
     for lam, c in pexpr.terms():
-        factor = TRat(ONE)
+        factor = ONE
         for r in lam:
-            factor = factor * TPoly(
-                _power_sum_coeffs(powers, r)
-            )
+            factor = factor * TPoly(_power_sum_coeffs(powers, r))
         total = total + c * factor
     return total
 
@@ -76,20 +76,23 @@ def macdonald_q1(mu):
     return expr.scaled(scalar)
 
 
+def _geometric_image(n, eigenvalue):
+    """Sum over mu |- n of eigenvalue(mu) * f_mu[1-t] * h_mu[X/(1-t)], in
+    power sums: the weighted h-basis sum, with the plethysm applied once."""
+    weighted = SymFuncExpr(n, "h", {
+        mu: eigenvalue(mu) * forgotten_at_one_minus_t(mu, n)
+        for mu in partitions_of(n)
+    })
+    return plethysm_geometric(weighted)
+
+
 def geometric_h_expansion(n):
     """The coefficient map mu -> f_mu[1-t] expanding e_n over the geometric
     plethysms of h_mu, verified by exact reconstruction of e_n."""
-    coeffs = {
-        mu: forgotten_at_one_minus_t(mu, n) for mu in partitions_of(n)
-    }
-    rebuilt = None
-    for mu, c in coeffs.items():
-        term = plethysm_geometric(SymFuncExpr.basis_element("h", mu)).scaled(c)
-        rebuilt = term if rebuilt is None else rebuilt + term
     expected = SymFuncExpr.basis_element("e", Partition([n])).convert("p")
-    if rebuilt != expected:
+    if _geometric_image(n, lambda mu: ONE) != expected:
         raise AssertionError("reconstruction of e_%d failed" % n)
-    return coeffs
+    return {mu: forgotten_at_one_minus_t(mu, n) for mu in partitions_of(n)}
 
 
 def delta_e(n, k):
@@ -99,12 +102,8 @@ def delta_e(n, k):
         raise ValueError("need 1 <= k <= n")
     if n > degree_bound():
         raise ValueError("degree %d exceeds bound %d" % (n, degree_bound()))
-    total = None
-    for mu in partitions_of(n):
-        factor = elementary_eigenvalue(mu, k) * forgotten_at_one_minus_t(mu, n)
-        term = plethysm_geometric(SymFuncExpr.basis_element("h", mu)).scaled(factor)
-        total = term if total is None else total + term
-    result = total.convert("e")
+    image = _geometric_image(n, lambda mu: elementary_eigenvalue(mu, k))
+    result = image.convert("e")
     for lam, c in result.terms():
         if not c.is_polynomial():
             raise AssertionError(
@@ -116,12 +115,8 @@ def delta_e(n, k):
 def delta_general(fexpr, n):
     """The image of e_n under the Delta operator for an arbitrary symmetric
     function, at q=1, in the power sum basis."""
-    total = None
-    for mu in partitions_of(n):
-        factor = eval_at_staircase(fexpr, mu) * forgotten_at_one_minus_t(mu, n)
-        term = plethysm_geometric(SymFuncExpr.basis_element("h", mu)).scaled(factor)
-        total = term if total is None else total + term
-    return total
+    pexpr = fexpr.convert("p")
+    return _geometric_image(n, lambda mu: eval_at_staircase(pexpr, mu))
 
 
 def haglund_check(n, k, fexpr):

@@ -353,8 +353,8 @@ def plethysm_geometric(expr):
     pexpr = expr.convert("p")
     out = {}
     for lam, c in pexpr._terms.items():
-        factor = TRat(ONE)
+        den = ONE
         for r in lam:
-            factor = factor * TRat(ONE, ONE - TPoly.t_power(r))
-        out[lam] = c * factor
+            den = den * (ONE - TPoly.t_power(r))
+        out[lam] = c * TRat(ONE, den)
     return SymFuncExpr(expr.degree, "p", out)

@@ -181,7 +181,6 @@ class TPoly:
 
 ZERO = TPoly()
 ONE = TPoly([1])
-T = TPoly([0, 1])
 
 
 def _as_tpoly(x):
@@ -470,19 +469,7 @@ class TRat:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # Cross-reduce before multiplying to keep the gcd calls small.
-        a = TRat(self._num, other._den)
-        b = TRat(other._num, self._den)
-        out = object.__new__(TRat)
-        num, den = a._num * b._num, a._den * b._den
-        c = _int_gcd(num.content(), den.content())
-        if c > 1:
-            num = TPoly(x // c for x in num.coeffs)
-            den = TPoly(x // c for x in den.coeffs)
-        if den.leading() < 0:
-            num, den = -num, -den
-        out._num, out._den = num, den
-        return out
+        return TRat(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -508,7 +495,6 @@ class TRat:
 
 
 RAT_ZERO = TRat(ZERO)
-RAT_ONE = TRat(ONE)
 
 
 def t_analog(m):
@@ -542,9 +528,4 @@ def partitions_bounded_series(r, order):
 
 def partitions_bounded_rat(r):
     """The same generating function as a rational: 1 / prod_{j<=r} (1 - t^j)."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    den = ONE
-    for j in range(1, r + 1):
-        den = den * (ONE - TPoly.t_power(j))
-    return TRat(ONE, den)
+    return TRat(ONE, t_pochhammer(r))

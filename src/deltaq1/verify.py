@@ -23,8 +23,6 @@ from .partitions import Partition, partitions_of
 from .symfunc import SymFuncExpr, hall_inner
 from .tarith import TPoly, TRat
 
-SUITES = ("eq1", "eq2", "bijection", "involution", "hilbert", "schur", "haglund")
-
 
 def _report(name, parameters, cases, run, started):
     failure = next(filter(None, map(run, cases)), None)
@@ -132,7 +130,7 @@ def check_bijection(n_max=7):
     return _report("bijection", {"n_max": n_max}, cases, run, started)
 
 
-def check_involution(n_max=5, k_max=3, degree_max=8, audit_degree=None):
+def check_involution(n_max=5, k_max=3, degree_max=8, audit=None):
     """Involution laws on every degree slice: pairs have equal weight and
     opposite sign and map back; fixed points are exactly the M-sequences;
     signed counts match the M-polynomial coefficients."""
@@ -144,7 +142,7 @@ def check_involution(n_max=5, k_max=3, degree_max=8, audit_degree=None):
         for lam in partitions_of(n)
         for d in range(degree_max + 1)
     ]
-    audit = []
+    pairings = []
 
     def run(case):
         n, k, lam, d = case
@@ -173,9 +171,9 @@ def check_involution(n_max=5, k_max=3, degree_max=8, audit_degree=None):
                 return {"case": [n, k, lam.to_json(), d],
                         "reason": "not an involution",
                         "object": diagram.to_json()}
-            if audit_degree is not None and d == audit_degree:
-                audit.append({"diagram": diagram.to_json(),
-                              "partner": partner.to_json()})
+            if d == audit:
+                pairings.append({"diagram": diagram.to_json(),
+                                 "partner": partner.to_json()})
         expected = [s for s in msequences(lam, k) if s.rho() == d]
         if sorted(s.pairs for s in fixed_seqs) != sorted(s.pairs for s in expected):
             return {"case": [n, k, lam.to_json(), d],
@@ -193,8 +191,8 @@ def check_involution(n_max=5, k_max=3, degree_max=8, audit_degree=None):
         run,
         started,
     )
-    if audit_degree is not None:
-        report["audit"] = {"degree": audit_degree, "pairings": audit}
+    if audit is not None:
+        report["audit"] = {"degree": audit, "pairings": pairings}
     return report
 
 
@@ -275,6 +273,16 @@ _RUNNERS = {
     "schur": check_schur,
     "haglund": check_haglund,
 }
+SUITES = tuple(_RUNNERS)
+
+
+def suite_options(name):
+    """The options a suite reads, each with its default, in order.  Every
+    parameter of a check_* function has a default; reading them off the
+    code object spares the CLI start-up the import of ``inspect``."""
+    code = _RUNNERS[name].__code__
+    names = code.co_varnames[: code.co_argcount]
+    return dict(zip(names, _RUNNERS[name].__defaults__))
 
 
 def run_suite(name, **options):

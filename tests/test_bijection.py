@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from deltaq1.bijection import decorated_to_msequence, msequence_to_decorated
 from deltaq1.dyck import DecoratedDyckPath, DyckPath, enumerate_decorated
@@ -99,3 +101,33 @@ def test_inverse_rejects_malformed():
         msequence_to_decorated([(1, 1), (0, 0)])
     with pytest.raises(ValueError):
         msequence_to_decorated([(0, 0)])
+
+
+@st.composite
+def msequence_candidates(draw):
+    """Pair lists with a_1 = 0, budgets summing to at most 9 and each
+    a_{i+1} drawn from 0..a_i + b_i - 1, ending where that range is empty.
+    Every valid M-sequence with n <= 9 (at most n + 1 pairs) can be drawn;
+    the constructor still decides which candidates are kept."""
+    pairs, a, left = [], 0, 9
+    for _ in range(draw(st.integers(1, 10))):
+        b = draw(st.integers(0, left))
+        pairs.append((a, b))
+        if a + b == 0:
+            break
+        a, left = draw(st.integers(0, a + b - 1)), left - b
+    return pairs
+
+
+@given(msequence_candidates())
+@settings(max_examples=400, deadline=None)
+def test_round_trip_every_valid_msequence(pairs):
+    try:
+        seq = MSequence(pairs)
+    except ValueError:
+        reject()
+    if not sum(seq.bvec()):
+        reject()  # n = 0: no path, rejected by test_inverse_rejects_malformed
+    decorated = msequence_to_decorated(seq)
+    assert decorated.decorated_area() == seq.rho()
+    assert decorated_to_msequence(decorated) == seq

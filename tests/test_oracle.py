@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import deltaq1
+from deltaq1 import oracle
 from deltaq1.msequences import msequence_polynomial
 from deltaq1.oracle import (
     delta_e,
@@ -12,7 +17,7 @@ from deltaq1.oracle import (
 )
 from deltaq1.partitions import Partition, partitions_of
 from deltaq1.specialize import forgotten_at_one_minus_t
-from deltaq1.symfunc import SymFuncExpr, hall_inner
+from deltaq1.symfunc import SymFuncExpr, hall_inner, plethysm_geometric
 from deltaq1.tarith import TPoly, TRat
 
 
@@ -115,3 +120,36 @@ def test_haglund_small_range():
         for k in range(1, n + 1):
             for lam in partitions_of(n):
                 assert haglund_check(n, k, elem("f", lam))
+
+
+def test_each_image_applies_the_plethysm_once(monkeypatch):
+    calls = []
+
+    def counted(expr):
+        calls.append(expr.degree)
+        return plethysm_geometric(expr)
+
+    monkeypatch.setattr(oracle, "plethysm_geometric", counted)
+    oracle.delta_e(6, 3)
+    assert calls == [6]
+    oracle.delta_general(elem("s", [2, 1]), 5)
+    assert calls == [6, 5]
+
+
+def test_oracle_side_imports_no_combinatorial_model():
+    # Importing any module runs the package __init__, which imports every
+    # module, so the imports are read from the source.
+    combinatorial = {"msequences", "dyck", "diagrams", "bijection", "verify",
+                     "cli"}
+    source = Path(deltaq1.__file__).parent
+    for module in ("tarith", "partitions", "symfunc", "specialize", "oracle"):
+        tree = ast.parse((source / (module + ".py")).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                if node.level and not node.module:
+                    imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+        assert not imported & combinatorial, module

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaq1.cli import main
+from deltaq1.cli import _MAX_DEGREE, _MAX_K, main
 from deltaq1.verify import run_suite
 
 
@@ -92,6 +92,43 @@ def test_usage_guards_cover_every_command(capsys):
     assert "nonnegative" in usage_error(
         capsys, "verify", "involution", "--degree-max", "-3"
     )
+
+
+def test_verify_rejects_unread_and_out_of_range_options(capsys):
+    assert "eq2 does not read --k-max" in usage_error(
+        capsys, "verify", "eq2", "--k-max", "3", "--degree-max", "2",
+        "--audit", "4",
+    )
+    assert "--degree-max" in usage_error(
+        capsys, "verify", "eq1", "--degree-max", "2"
+    )
+    assert "--audit" in usage_error(capsys, "verify", "hilbert", "--audit", "0")
+    assert "1 <= --k-max <= %d" % _MAX_K in usage_error(
+        capsys, "verify", "involution", "--k-max", str(_MAX_K + 1)
+    )
+    assert "0 <= --degree-max <= %d" % _MAX_DEGREE in usage_error(
+        capsys, "verify", "involution", "--degree-max", str(_MAX_DEGREE + 1)
+    )
+    assert "--audit <= 8" in usage_error(
+        capsys, "verify", "involution", "--audit", "-1"
+    )
+    assert "--audit <= 2" in usage_error(
+        capsys, "verify", "involution", "--audit", "7", "--degree-max", "2"
+    )
+
+
+def test_verify_reports_suite_defaults_in_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "involution", "--n-max", "2")
+    assert code == 0
+    assert list(json.loads(out)["parameters"].items()) == [
+        ("n_max", 2), ("k_max", 3), ("degree_max", 8)
+    ]
+    code, out, _ = run_cli(
+        capsys, "verify", "involution", "--n-max", "1",
+        "--k-max", str(_MAX_K), "--degree-max", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
 
 
 def test_verify_cli_output_is_stable(capsys):
