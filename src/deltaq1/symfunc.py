@@ -5,12 +5,28 @@ sum), s (Schur), f (forgotten).  Every conversion pivots through the power
 sum basis, where the Hall inner product and the geometric plethysm
 X -> X/(1-t) are diagonal.  Transition tables are built once per degree
 and cached; all entries are exact rationals.
+
+Each p_mu has integer coefficients in every basis, and each row of the
+p -> basis tables (``_from_p``) has a closed form:
+
+* h: p_mu is the product of the p_r over the parts r of mu, where
+  p_r = sum over lam |- r of (-1)^(l-1) r (l-1)! / prod_i m_i(lam)! h_lam
+  (l the length of lam), from log H(t) = sum_r p_r t^r / r;
+* e: eps_mu times the h row with h relabelled e, since omega swaps h and e
+  and omega p_mu = eps_mu p_mu;
+* s: the character chi^lam(mu) (Frobenius);
+* m: the number of ways to fill the parts of lam with the parts of mu;
+* f: eps_mu times the m row, by omega again.
+
+The basis -> p tables (``_to_p``) are closed forms too, except for m,
+which inverts the matrix of the m row above; no other table inverts one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .partitions import Partition, partitions_of, zee
 from .tarith import TRat, TPoly, ONE, RAT_ZERO
@@ -83,8 +99,34 @@ def _pexp_h(r):
 
 
 @lru_cache(maxsize=None)
+def _h_of_p(r):
+    """p_r in the h basis, from log H(t) = sum_r p_r t^r / r."""
+    out = {}
+    for lam in partitions_of(r):
+        length = len(lam)
+        denom = 1
+        for mult in lam.multiplicities().values():
+            denom *= factorial(mult)
+        coeff = r * factorial(length - 1) // denom
+        out[lam.parts] = coeff if length % 2 else -coeff
+    return out
+
+
+@lru_cache(maxsize=None)
 def _pexp_e(r):
     return {nu.parts: Fraction(_eps(nu.parts), zee(nu)) for nu in partitions_of(r)}
+
+
+def _multiplicative_rows(plist, row_of):
+    """Rows lam -> the product of row_of(r) over the parts r of lam, where
+    monomials multiply by joining their parts."""
+    out = {}
+    for lam in plist:
+        acc = {(): 1}
+        for part in lam:
+            acc = _pexp_mul(acc, row_of(part))
+        out[lam] = acc
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -125,14 +167,7 @@ def _to_p(basis, n):
     if basis == "p":
         return {lam: {lam: Fraction(1)} for lam in plist}
     if basis in ("e", "h"):
-        row_of = _pexp_e if basis == "e" else _pexp_h
-        out = {}
-        for lam in plist:
-            acc = {(): Fraction(1)}
-            for part in lam:
-                acc = _pexp_mul(acc, row_of(part))
-            out[lam] = acc
-        return out
+        return _multiplicative_rows(plist, _pexp_e if basis == "e" else _pexp_h)
     if basis == "s":
         return {
             lam: {
@@ -167,18 +202,37 @@ def _to_p(basis, n):
 
 @lru_cache(maxsize=None)
 def _from_p(basis, n):
-    """Rows mu -> {lam: Fraction} expressing p_mu in the target basis."""
+    """Rows mu -> {lam: int} expressing p_mu in the target basis, each from
+    its closed form (see the module docstring)."""
     _check_degree(n)
-    if basis == "p":
-        return {p.parts: {p.parts: Fraction(1)} for p in partitions_of(n)}
     plist = [p.parts for p in partitions_of(n)]
-    table = _to_p(basis, n)
-    rows = [[table[lam].get(mu, Fraction(0)) for mu in plist] for lam in plist]
-    inv = _invert(rows)
-    return {
-        mu: {lam: inv[i][j] for j, lam in enumerate(plist) if inv[i][j]}
-        for i, mu in enumerate(plist)
-    }
+    if basis == "p":
+        return {mu: {mu: 1} for mu in plist}
+    if basis == "s":
+        return {
+            mu: {lam: character(lam, mu) for lam in plist if character(lam, mu)}
+            for mu in plist
+        }
+    if basis in ("h", "e"):
+        rows = _multiplicative_rows(plist, _h_of_p)
+    elif basis in ("m", "f"):
+        rows = {
+            mu: {
+                lam: _assignment_count(mu, lam)
+                for lam in plist
+                if _assignment_count(mu, lam)
+            }
+            for mu in plist
+        }
+    else:
+        raise ValueError("unknown basis %r" % (basis,))
+    if basis in ("e", "f"):
+        # omega swaps h with e and m with f, and omega p_mu = eps_mu p_mu.
+        rows = {
+            mu: {lam: _eps(mu) * c for lam, c in row.items()}
+            for mu, row in rows.items()
+        }
+    return rows
 
 
 def _coerce_coeff(c):

@@ -8,6 +8,10 @@ Three value types, all immutable:
 
 Every quantity this package ultimately reports is an integer polynomial in
 t; rationals appear only inside basis transitions and oracle intermediates.
+The polynomial arithmetic behind ``TRat`` is over ``int`` alone: ``poly_gcd``
+is Euclid on primitive parts with pseudo-remainders, ``divexact`` is integer
+long division, and a ratio with a constant numerator or denominator needs
+no gcd at all.
 """
 
 from __future__ import annotations
@@ -191,65 +195,72 @@ def _as_tpoly(x):
     raise TypeError("cannot interpret %r as TPoly" % (x,))
 
 
-def poly_gcd(a, b):
-    """Primitive gcd of two integer polynomials, positive leading coefficient."""
-    fa = [Fraction(c) for c in _as_tpoly(a).coeffs]
-    fb = [Fraction(c) for c in _as_tpoly(b).coeffs]
-
-    def _fstrip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    fa, fb = _fstrip(fa), _fstrip(fb)
-    while fb:
-        # fa mod fb by long division
-        r = list(fa)
-        lead = fb[-1]
-        for i in range(len(r) - 1, len(fb) - 2, -1):
-            if r[i] == 0:
-                continue
-            q = r[i] / lead
-            for j in range(len(fb)):
-                r[i - len(fb) + 1 + j] -= q * fb[j]
-            r[i] = Fraction(0)
-        fa, fb = fb, _fstrip(r)
-    if not fa:
-        return ZERO
-    # Clear denominators, strip content, normalize sign.
-    denom = 1
-    for c in fa:
-        denom = denom * c.denominator // _int_gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in fa]
+def _primitive(coeffs):
+    """The coefficient list divided by its integer content (sign kept)."""
     g = 0
-    for c in ints:
-        g = _int_gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return TPoly(ints)
+    for x in coeffs:
+        g = _int_gcd(g, x)
+    return [x // g for x in coeffs] if g > 1 else coeffs
+
+
+def _pseudo_remainder(a, b):
+    """Remainder of lead(b)^k * a on division by b, over the integers.
+
+    Each step scales the dividend by the divisor's leading coefficient and
+    subtracts a multiple of the shifted divisor, so no step leaves Z.
+    """
+    r, lead, db = list(a), b[-1], len(b) - 1
+    while len(r) > db:
+        top = r.pop()
+        shift = len(r) - db
+        r = [x * lead for x in r]
+        for j in range(db):
+            r[shift + j] -= top * b[j]
+        r = _strip(r)
+    return r
+
+
+def poly_gcd(a, b):
+    """Primitive gcd of two integer polynomials, positive leading coefficient.
+
+    Euclid on primitive parts: each step replaces (a, b) by (b, the
+    primitive part of the pseudo-remainder of a by b).  By Gauss's lemma
+    the last nonzero term is the primitive gcd up to sign.
+    """
+    a = _primitive(list(_as_tpoly(a).coeffs))
+    b = _primitive(list(_as_tpoly(b).coeffs))
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    if not a:
+        return ZERO
+    return TPoly(a if a[-1] > 0 else [-x for x in a])
 
 
 def divexact(a, b):
-    """Quotient a / b, raising if the division is not exact over the integers."""
+    """Quotient a / b, raising ValueError if it is not an integer polynomial.
+
+    Long division with ``divmod`` on the leading coefficient: it stops at
+    the first quotient coefficient that is not an integer, and at a nonzero
+    final remainder.
+    """
     a, b = _as_tpoly(a), _as_tpoly(b)
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a.coeffs]
-    quot = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
-    lead = Fraction(b.leading())
-    for i in range(len(rem) - 1, len(b.coeffs) - 2, -1):
-        if rem[i] == 0:
+    rem, bc = list(a.coeffs), b.coeffs
+    db, lead = len(bc) - 1, bc[-1]
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        if not rem[i]:
             continue
-        q = rem[i] / lead
-        quot[i - len(b.coeffs) + 1] = q
-        for j, bc in enumerate(b.coeffs):
-            rem[i - len(b.coeffs) + 1 + j] -= q * bc
-    if any(rem):
+        q, r = divmod(rem[i], lead)
+        if r:
+            raise ValueError("quotient is not an integer polynomial")
+        quot[i - db] = q
+        for j in range(db):
+            rem[i - db + j] -= q * bc[j]
+    if any(rem[:db]):
         raise ValueError("inexact polynomial division")
-    if any(q.denominator != 1 for q in quot):
-        raise ValueError("quotient is not an integer polynomial")
-    return TPoly(int(q) for q in quot)
+    return TPoly(quot)
 
 
 class TSeries:
@@ -383,9 +394,11 @@ class TRat:
         if num.is_zero():
             self._num, self._den = ZERO, ONE
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = divexact(num, g), divexact(den, g)
+        # A nonzero constant shares no polynomial factor with anything.
+        if num.degree > 0 and den.degree > 0:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = divexact(num, g), divexact(den, g)
         c = _int_gcd(num.content(), den.content())
         if c > 1:
             num = TPoly(x // c for x in num.coeffs)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import deltaq1
-from deltaq1 import oracle
+from deltaq1 import oracle, tarith
 from deltaq1.msequences import msequence_polynomial
 from deltaq1.oracle import (
     delta_e,
@@ -153,3 +153,20 @@ def test_oracle_side_imports_no_combinatorial_model():
             elif isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[-1] for alias in node.names)
         assert not imported & combinatorial, module
+
+
+def test_oracle_makes_no_constant_operand_gcd(monkeypatch):
+    expected = delta_e(8, 4)
+    calls, const_calls = [], []
+    real_gcd = tarith.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        if min(tarith._as_tpoly(x).degree for x in (a, b)) <= 0:
+            const_calls.append((a, b))
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(tarith, "poly_gcd", counted)
+    assert delta_e(8, 4) == expected
+    assert haglund_check(5, 2, elem("f", [3, 1, 1]))
+    assert calls and not const_calls

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaq1.partitions import Partition, partitions_of, zee
+from deltaq1 import symfunc
 from deltaq1.symfunc import (
     BASES,
     SymFuncExpr,
@@ -152,3 +153,34 @@ def test_expr_json_round_trip():
         },
     )
     assert SymFuncExpr.from_json(expr.to_json()) == expr
+
+
+def test_transition_tables_are_inverse():
+    for n in range(9):
+        plist = [p.parts for p in partitions_of(n)]
+        for basis in BASES:
+            to_p, from_p = symfunc._to_p(basis, n), symfunc._from_p(basis, n)
+            for lam in plist:
+                for nu in plist:
+                    entry = sum(
+                        (Fraction(c) * Fraction(from_p[mu].get(nu, 0))
+                         for mu, c in to_p[lam].items()),
+                        Fraction(0),
+                    )
+                    assert entry == (lam == nu), (basis, lam, nu)
+
+
+def test_from_p_inverts_no_matrix(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("_from_p inverted a matrix")
+
+    symfunc._to_p.cache_clear()
+    symfunc._from_p.cache_clear()
+    monkeypatch.setattr(symfunc, "_invert", refuse)
+    try:
+        for n in range(symfunc.degree_bound() + 1):
+            for basis in BASES:
+                symfunc._from_p(basis, n)
+    finally:
+        symfunc._to_p.cache_clear()
+        symfunc._from_p.cache_clear()

@@ -132,3 +132,50 @@ def test_gcd_divides_both(a, b):
     g = poly_gcd(a, b)
     assert divexact(a, g) * g == a
     assert divexact(b, g) * g == b
+
+
+def _primitive_part(p):
+    c = p.content()
+    q = TPoly(x // c for x in p.coeffs)
+    return -q if q.leading() < 0 else q
+
+
+@given(nonzero_polys, nonzero_polys, nonzero_polys)
+@settings(max_examples=100)
+def test_rat_cancels_common_factor(a, b, c):
+    assert TRat(a * c, b * c) == TRat(a, b)
+
+
+@given(nonzero_polys, nonzero_polys, nonzero_polys)
+@settings(max_examples=100)
+def test_gcd_keeps_planted_factor(a, b, c):
+    g = poly_gcd(a * c, b * c)
+    divexact(g, _primitive_part(c))  # raises unless the factor divides g
+    assert g.content() == 1 and g.leading() > 0
+
+
+def test_gcd_zero_and_constant_operands():
+    assert poly_gcd(TPoly(), TPoly()) == TPoly()
+    assert poly_gcd(TPoly(), TPoly([-2, -4])) == TPoly([1, 2])
+    assert poly_gcd(TPoly([0, 3]), TPoly()) == TPoly([0, 1])
+    assert poly_gcd(6, 4) == ONE
+    assert poly_gcd(TPoly([-6]), TPoly([0, 4])) == ONE
+    assert poly_gcd(TPoly([-1, 0, 1]), TPoly([2, 2])) == TPoly([1, 1])
+    r = TRat(TPoly([0, -2]), -4)
+    assert r.num == TPoly([0, 1]) and r.den == TPoly([2])
+    r = TRat(6, TPoly([3, 9]))
+    assert r.num == TPoly([2]) and r.den == TPoly([1, 3])
+
+
+def test_divexact_integer_division():
+    assert divexact(TPoly([2, 4]), 2) == TPoly([1, 2])
+    assert divexact(TPoly([-1, 0, 1]), TPoly([-1, 1])) == TPoly([1, 1])
+    assert divexact(TPoly(), TPoly([1, 1])) == TPoly()
+    with pytest.raises(ValueError):
+        divexact(1, 2)  # not an integer quotient
+    with pytest.raises(ValueError):
+        divexact(TPoly([1, 0, 1]), TPoly([1, 1]))  # remainder 2
+    with pytest.raises(ValueError):
+        divexact(TPoly([1, 1]), TPoly([1, 2]))
+    with pytest.raises(ZeroDivisionError):
+        divexact(ONE, TPoly())
