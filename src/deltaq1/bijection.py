@@ -1,14 +1,23 @@
 """The weight-preserving bijection between decorated Dyck paths and
 M-sequences, in both directions.
 
-Forward: every vertical segment start contributes its (area, length) pair;
-every undecorated non-start row contributes (area, 0), transported
-northeast along its diagonal to rest over an East step; pairs are read in
-path order, and an undecorated origin appends a final (0, 0).
+Both directions read one walk of the path (``_walk``), which gives every
+row one pair at one step of the path:
 
-Inverse: the nonzero pairs rebuild the path, the zero pairs drop southwest
-from their East steps back onto rows, and the rows left without a pair are
-exactly the decorated ones.
+- a row that starts a vertical segment gives (area, length) at its North
+  step;
+- every other row gives (area, 0), transported northeast along its
+  diagonal to the East step just before the path first drops below that
+  diagonal.
+
+Forward: keep the pairs of the undecorated rows in walk order, and append
+(0, 0) when the origin is undecorated.
+
+Inverse: pop the origin marker, rebuild the path from the nonzero pairs,
+and match the sequence against the walk of that path; the zero pairs the
+sequence skips mark the decorated rows.  Between two segment pairs of a
+walk the zero pairs descend strictly, so each zero pair of the sequence
+matches exactly one of them, and the greedy match is the only match.
 """
 
 from __future__ import annotations
@@ -17,32 +26,42 @@ from .dyck import DecoratedDyckPath, DyckPath
 from .msequences import MSequence
 
 
+def _walk(path):
+    """(row, pair) for every row of the path, in the order of the steps the
+    pairs rest on.
+
+    Diagonal d holds the lattice points with y - x = d, and the North step
+    of a row of area a ends on diagonal a + 1.  The pair of a row that does
+    not start a segment rests on the East step just before the path first
+    drops from diagonal a to a - 1; the path reaches a from above, so that
+    step is an East step too.
+    """
+    starts = dict(path.runs())
+    # after the last row the path returns to the diagonal
+    alpha = path.area_seq + (0,)
+    waiting = {}  # diagonal -> the row whose pair travels along it
+    walk = []
+    for row in range(1, path.n + 1):
+        a = alpha[row - 1]
+        if row in starts:
+            walk.append((row, (a, starts[row])))
+        else:
+            # the row below climbs from diagonal a - 1, so the path has
+            # dropped from a to a - 1 since any earlier row of area a
+            # began to wait: none is waiting on diagonal a now
+            waiting[a] = row
+        # the East steps before the next North step drop from diagonal
+        # a + 1 to the next row's area, one diagonal each
+        for d in range(a + 1, alpha[row], -1):
+            if d in waiting:
+                walk.append((waiting.pop(d), (d, 0)))
+    return walk
+
+
 def decorated_to_msequence(decorated):
     """Map a decorated path to its M-sequence."""
-    path = decorated.path
     rows = decorated.rows
-    starts = {s: length for s, length in path.runs()}
-
-    landed = {}
-    for i in range(1, path.n + 1):
-        if i in starts or i in rows:
-            continue
-        step = path.east_landing(i)
-        if step in landed:
-            raise AssertionError(
-                "two rows landed on one East step in %r" % (decorated,)
-            )
-        landed[step] = i
-
-    pairs = []
-    row = 0
-    for idx, ch in enumerate(path.steps()):
-        if ch == "N":
-            row += 1
-            if row in starts:
-                pairs.append((path.alpha(row), starts[row]))
-        elif idx in landed:
-            pairs.append((path.alpha(landed[idx]), 0))
+    pairs = [pair for row, pair in _walk(decorated.path) if row not in rows]
     if 0 not in rows:
         pairs.append((0, 0))
     seq = MSequence(pairs)
@@ -51,124 +70,38 @@ def decorated_to_msequence(decorated):
     return seq
 
 
-def _windows(pairs):
-    """Split the pair list into segments and the zero pairs trailing each.
-
-    Returns (segments, zero_runs): segments[j] = (a, b) with b > 0, and
-    zero_runs[j] lists the (r, 0) values read after segment j.
-    """
-    segments = []
-    zero_runs = []
-    for a, b in pairs:
-        if b > 0:
-            segments.append((a, b))
-            zero_runs.append([])
-        else:
-            if not segments:
-                raise ValueError("sequence must begin with a nonzero budget")
-            zero_runs[-1].append(a)
-    return segments, zero_runs
-
-
 def msequence_to_decorated(seq):
     """Rebuild the unique decorated path mapping to the given M-sequence.
 
     Accepts an MSequence or a raw pair list (which is validated first).
-    Raises on any malformed input, reporting the first violated inequality.
+    Raises ValueError on any malformed input, reporting the first violated
+    inequality.
     """
     if not isinstance(seq, MSequence):
         seq = MSequence(seq)
     pairs = list(seq.pairs)
-
-    origin_decorated = pairs[-1] != (0, 0)
-    if not origin_decorated:
-        pairs = pairs[:-1]
+    decorations = [0] if pairs[-1] != (0, 0) else []
+    if not decorations:
+        pairs.pop()
     if not pairs:
         raise ValueError("nothing left after the origin marker")
 
-    segments, zero_runs = _windows(pairs)
-
-    # Segment starts must descend strictly below the previous segment top;
-    # the chained M-inequalities guarantee it, and we assert it per window.
-    area = []
-    row_of_start = []
-    for j, (a, b) in enumerate(segments):
-        if j == 0:
-            if a != 0:
-                raise ValueError("first segment must start on the diagonal")
+    path = DyckPath([a + i for a, b in pairs for i in range(b)])
+    matched = 0
+    for row, pair in _walk(path):
+        if matched < len(pairs) and pair == pairs[matched]:
+            matched += 1
+        elif pair[1] == 0:
+            decorations.append(row)
         else:
-            top = segments[j - 1][0] + segments[j - 1][1]
-            chain = [top] + zero_runs[j - 1] + [a]
-            for x, y in zip(chain, chain[1:]):
-                if not x > y:
-                    raise AssertionError(
-                        "window chain broken: %d is not above %d" % (x, y)
-                    )
-        row_of_start.append(len(area) + 1)
-        area.extend(range(a, a + b))
-    final_top = segments[-1][0] + segments[-1][1]
-    chain = [final_top] + zero_runs[-1] + [0]
-    for x, y in zip(chain, chain[1:]):
-        if not x > y:
-            raise AssertionError("trailing window chain broken")
+            break
+    if matched < len(pairs):
+        raise ValueError(
+            "pair %d, %r, matches no row of %r"
+            % (matched + 1, pairs[matched], path)
+        )
 
-    path = DyckPath(area)
-
-    # Index the East steps of each window by the diagonal they end on.
-    word = path.steps()
-    east_end_diag = {}
-    diag = 0
-    for idx, ch in enumerate(word):
-        diag += 1 if ch == "N" else -1
-        if ch == "E":
-            east_end_diag[idx] = diag
-
-    landing_row = {}
-    for i in range(1, path.n + 1):
-        if i not in set(row_of_start):
-            landing_row[path.east_landing(i)] = i
-
-    # Walk windows left to right matching zero pairs to East steps.
-    assigned = {}
-    east_by_window = []
-    window = []
-    row = 0
-    for idx, ch in enumerate(word):
-        if ch == "N":
-            row += 1
-            if row in row_of_start[1:]:
-                east_by_window.append(window)
-                window = []
-        else:
-            window.append(idx)
-    east_by_window.append(window)
-    if len(east_by_window) != len(segments):
-        raise AssertionError("window bookkeeping failed")
-
-    for j, zeros in enumerate(zero_runs):
-        for r in zeros:
-            matches = [e for e in east_by_window[j] if east_end_diag[e] == r]
-            if len(matches) != 1:
-                raise AssertionError(
-                    "no unique East step ends on diagonal %d in window %d"
-                    % (r, j)
-                )
-            step = matches[0]
-            if step not in landing_row:
-                raise AssertionError(
-                    "East step %d is not a landing step" % step
-                )
-            target = landing_row[step]
-            if target in assigned.values():
-                raise AssertionError("row %d claimed twice" % target)
-            assigned[step] = target
-
-    with_pairs = set(row_of_start) | set(assigned.values())
-    decorations = [i for i in range(1, path.n + 1) if i not in with_pairs]
-    if not origin_decorated:
-        result = DecoratedDyckPath(path, decorations)
-    else:
-        result = DecoratedDyckPath(path, [0] + decorations)
+    result = DecoratedDyckPath(path, decorations)
     if result.decorated_area() != seq.rho():
         raise AssertionError("weight not preserved rebuilding %r" % (seq,))
     return result

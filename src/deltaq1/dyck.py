@@ -87,36 +87,6 @@ class DyckPath:
         word.extend("E" * (self.n - x))
         return "".join(word)
 
-    def east_landing(self, row):
-        """For a non-segment-start row, the index (into steps()) of the East
-        step over which the row's travelling pair comes to rest.
-
-        Follow the diagonal of the row's area northeast; the pair lands on
-        the East step entering the first East-step start on that diagonal.
-        """
-        if row in set(self.run_starts()):
-            raise ValueError("row %d starts a vertical segment" % row)
-        c = self.alpha(row)
-        word = self.steps()
-        # Locate the start of this row's North step, tracking the diagonal
-        # (y - x) of the vertex reached after each step.
-        norths_seen = 0
-        diag = 0
-        pos = 0
-        for pos, ch in enumerate(word):
-            if ch == "N":
-                norths_seen += 1
-                diag += 1
-                if norths_seen == row:
-                    break
-            else:
-                diag -= 1
-        for j in range(pos + 1, len(word)):
-            diag += 1 if word[j] == "N" else -1
-            if word[j] == "E" and diag == c and j + 1 < len(word) and word[j + 1] == "E":
-                return j
-        raise AssertionError("no landing East step for row %d of %r" % (row, self))
-
     def __eq__(self, other):
         if not isinstance(other, DyckPath):
             return NotImplemented
@@ -224,7 +194,13 @@ class DecoratedDyckPath:
 
     @classmethod
     def from_json(cls, data):
-        return cls(DyckPath(data["area_seq"]), data["decorated_rows"])
+        """Read what to_json writes; an entry that is not an int (a float,
+        bool, string or null) raises TypeError."""
+        area, rows = data["area_seq"], data["decorated_rows"]
+        bad = [x for x in [*area, *rows] if type(x) is not int]
+        if bad:
+            raise TypeError("entries must be integers, not %r" % (bad[0],))
+        return cls(DyckPath(area), rows)
 
 
 def enumerate_decorated(n, k, lam=None):

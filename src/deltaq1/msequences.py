@@ -169,7 +169,13 @@ class MSequence:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["pairs"])
+        """Read what to_json writes; an entry that is not an int (a float,
+        bool, string or null) raises TypeError."""
+        pairs = data["pairs"]
+        bad = [x for pair in pairs for x in pair if type(x) is not int]
+        if bad:
+            raise TypeError("entries must be integers, not %r" % (bad[0],))
+        return cls(pairs)
 
 
 def msequences(lam, k):

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from deltaq1.bijection import decorated_to_msequence, msequence_to_decorated
-from deltaq1.dyck import DecoratedDyckPath, DyckPath, enumerate_decorated
+from deltaq1.bijection import _walk, decorated_to_msequence, msequence_to_decorated
+from deltaq1.dyck import DecoratedDyckPath, DyckPath, enumerate_decorated, enumerate_paths
 from deltaq1.msequences import MSequence, msequences
 from deltaq1.partitions import Partition, partitions_of
 
@@ -73,6 +73,16 @@ def test_inverse_round_trip_exhaustive():
 
 
 def test_window_chains_strict():
+    # the walk gives every row one pair, and its zero pairs descend strictly
+    # between segment pairs: the inverse's greedy match relies on both
+    for n in range(1, 7):
+        for path in enumerate_paths(n):
+            walk = _walk(path)
+            assert sorted(row for row, _ in walk) == list(range(1, n + 1))
+            # c < a + b: below a segment's top, and below the previous zero
+            pairs = [pair for _, pair in walk]
+            for (a, b), (c, _) in zip(pairs, pairs[1:]):
+                assert c < a + b
     # within each maximal (a,b), (r_1,0), ..., (r_l,0), (c,d) window of an
     # image the diagonals descend strictly, and no two zero pairs coincide
     for n in range(1, 7):

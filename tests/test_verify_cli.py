@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaq1.cli import _MAX_DEGREE, _MAX_K, main
+from deltaq1.cli import _MAX_DEGREE, _MAX_K, _MAX_ROWS, main
 from deltaq1.verify import run_suite
 
 
@@ -193,6 +193,34 @@ def test_phi_rejects_bad_objects(capsys):
     code, _, err = run_cli(capsys, "phi-inverse", '{"pairs": [[1, 1]]}')
     assert code == 1
     assert "a_1" in err
+    # int() would truncate 2.7 and read true and "2" as numbers, so the
+    # command would report success on a different object
+    for command, raw, bad in (
+        ("phi-inverse", '{"pairs": [[0, 2.7], [1.9, 0]]}', "2.7"),
+        ("phi", '{"area_seq": [0, 1.5, true], "decorated_rows": []}', "1.5"),
+        ("phi-inverse", '{"pairs": [[0, "2"], [1, 0]]}', "'2'"),
+        ("phi", '{"area_seq": [0, true], "decorated_rows": [0]}', "True"),
+    ):
+        code, out, err = run_cli(capsys, command, raw)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [err.strip()]
+        assert err.strip().endswith("entries must be integers, not " + bad)
+
+
+def test_phi_commands_cap_rows(capsys):
+    for rows, expected in ((_MAX_ROWS, 0), (_MAX_ROWS + 1, 1)):
+        # one segment of every row, the origin decorated
+        seq = {"pairs": [[0, rows]] + [[r, 0] for r in range(rows - 1, 0, -1)]}
+        decorated = {"area_seq": list(range(rows)), "decorated_rows": [0]}
+        for command, obj, image in (("phi-inverse", seq, decorated),
+                                    ("phi", decorated, seq)):
+            code, out, err = run_cli(capsys, command, json.dumps(obj))
+            assert code == expected
+            if code == 0:
+                assert json.loads(out) == image
+            else:
+                assert err.splitlines() == [err.strip()]
+                assert "at most %d rows" % _MAX_ROWS in err
 
 
 def test_hilbert_cli(capsys):
