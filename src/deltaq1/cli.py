@@ -14,15 +14,7 @@ import sys
 
 from .bijection import decorated_to_msequence, msequence_to_decorated
 from .dyck import DecoratedDyckPath
-from .msequences import (
-    MSequence,
-    generic_polynomial,
-    monomials_of_e,
-    monomials_of_h,
-    monomials_of_m,
-    monomials_of_s,
-    osp_polynomial,
-)
+from .msequences import MSequence, generic_polynomial, m_expansion, osp_polynomial
 from .oracle import delta_e
 from .partitions import partitions_of
 from .symfunc import degree_bound
@@ -30,24 +22,23 @@ from .tarith import TRat
 from .verify import SUITES, run_suite, suite_options
 
 
-# The coefficient of each basis element of the Delta image is the budget
-# polynomial of a monomial expansion in k+1 variables: e_lam pairs with
-# m_lam, s_lam with s of the conjugate shape, f_lam with h_lam, m_lam with
-# e_lam.
-_MONOMIALS = {
-    "e": monomials_of_m,
-    "s": lambda lam, nvars: monomials_of_s(lam.conjugate(), nvars),
-    "f": monomials_of_h,
-    "m": monomials_of_e,
-}
+# The models compute L_k(g) = <omega F, g> for the Delta image F under the
+# Hall inner product, so the coefficient of b_lam is L_k of omega of the Hall
+# dual of b_lam: e_lam <-> m_lam, s_lam <-> s_lam', f_lam <-> h_lam and
+# m_lam <-> e_lam.
+_DUAL = {"e": "m", "s": "s", "f": "h", "m": "e"}
 
 
 def _expansion_terms(n, k, basis):
     """Coefficient of each basis element of the Delta image, computed from
-    the combinatorial models (no oracle)."""
+    the combinatorial models (no oracle).  Each L_k(m_mu) is computed once
+    for the whole table."""
+    memo = {}
     terms = []
     for lam in partitions_of(n):
-        coeff = generic_polynomial(_MONOMIALS[basis](lam, k + 1), k)
+        dual = lam.conjugate() if basis == "s" else lam
+        coeff = generic_polynomial(m_expansion(_DUAL[basis], dual, k + 1), k,
+                                   memo)
         if not coeff.is_zero():
             terms.append((lam, coeff))
     return terms

@@ -2,17 +2,23 @@
 
 Every model here is a pair of vectors in k+1 slots: budgets (b_1, ...,
 b_{k+1}) and an admissible vector (a_1, ..., a_{k+1}) with a_1 = 0 and
-a_{i+1} < a_i + b_i, weighted by t^(a_1 + ... + a_{k+1}).  The models
-differ only in where the budgets come from: a monomial in the expansion of
-a symmetric function in k+1 variables, counted with its coefficient.  So
-one engine, ``generic_polynomial``, computes every t-generating polynomial
-from an integer monomial expansion:
+a_{i+1} < a_i + b_i, weighted by t^(a_1 + ... + a_{k+1}); A(b) is the sum
+over the admissible vectors of b.  A model draws its budgets from the
+monomials of a symmetric function in k+1 variables, so every model is one
+linear functional, L_k(m_mu) = the sum of A(b) over the distinct orderings
+b of mu padded with zeros to k+1 slots (``generic_polynomial``), applied to
+an m-expansion counted once per partition mu:
 
-* M-sequences for lam: the monomial function m_lam (``monomials_of_m``);
-* ordered set partition sequences for n: p_1^n (``monomials_of_p1n``);
-* tableau sequences for lam: the Schur function s_lam (``monomials_of_s``);
-* the other coefficients of the Delta image: e_lam and h_lam.
+* M-sequences for lam: m_lam itself (``msequence_polynomial``);
+* ordered set partition sequences for n: p_1^n, whose m-coefficients are
+  multinomials (``osp_polynomial``);
+* tableau sequences for lam: s_lam, whose m-coefficients are Kostka
+  numbers (``ssyt_polynomial``);
+* the other coefficients of the Delta image: e_lam and h_lam, whose
+  m-coefficients count 0-1 and nonnegative integer matrices.
 
+The m-coefficients are counted here (``m_expansion``), not read from the
+``symfunc`` tables, so the model route stays independent of the oracle.
 The object enumerators (``msequences``, ``osp_sequences``,
 ``ssyt_sequences``) list the same objects one by one for the bijection, the
 involution and the tests.
@@ -20,11 +26,10 @@ involution and the tests.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, product
-from math import factorial
+from itertools import accumulate, product
+from math import factorial, prod
 
-from .partitions import Partition, padded_rearrangements
+from .partitions import Partition, padded_rearrangements, partitions_of
 from .tarith import TPoly
 
 
@@ -55,54 +60,131 @@ def _add(p, q):
     return out
 
 
-@lru_cache(maxsize=None)
-def _prefix_polynomial(budgets):
-    """A(b) for every b that starts with ``budgets`` and has one more slot.
+def _budget_functional(mu, k):
+    """L_k(m_mu): the sum of A(b) over the distinct orderings b of mu padded
+    with zeros to k+1 slots (0 when mu has more than k+1 parts).
 
     by_last[a] holds the t-polynomial of the admissible prefixes ending in
     a.  The next coordinate may be any a' < a + b, so its polynomial is
     t^a' times the sum of by_last[a] over a >= a' - b + 1, and one pass of
-    suffix sums gives every a' at once.
+    suffix sums gives every a' at once.  The step is linear in by_last, so
+    the prefixes that have used the same sub-multiset of budgets are kept
+    as one summed vector, keyed by the multiplicities left; their vectors
+    have the same length, 1 + (budget used) - (slots used).  The last slot
+    bounds no coordinate, so only the first k slots are stepped.
     """
-    by_last = [[1]]
-    for b in budgets:
-        tails = []
-        acc = []
-        for poly in reversed(by_last):
-            acc = _add(acc, poly)
-            tails.append(acc)
-        tails.reverse()
-        by_last = [
-            [0] * a + tails[max(0, a - b + 1)]
-            for a in range(len(by_last) + b - 1)
-        ]
-        if not by_last:  # no admissible prefix
-            return TPoly()
+    if len(mu) > k + 1:
+        return TPoly()
+    budgets = [0] + sorted(set(mu.parts))
+    left = (k + 1 - len(mu),) + tuple(mu.multiplicity(b) for b in budgets[1:])
+    states = {left: [[1]]}
+    for _ in range(k):
+        merged = {}
+        for left, by_last in states.items():
+            tails = list(accumulate(reversed(by_last), _add))[::-1]
+            for i, b in enumerate(budgets):
+                if not left[i]:
+                    continue
+                step = [
+                    [0] * a + tails[max(0, a - b + 1)]
+                    for a in range(len(by_last) + b - 1)
+                ]
+                if not step:  # no admissible prefix
+                    continue
+                key = left[:i] + (left[i] - 1,) + left[i + 1:]
+                if key in merged:
+                    step = list(map(_add, merged[key], step))
+                merged[key] = step
+        states = merged
     total = []
-    for poly in by_last:
-        total = _add(total, poly)
+    for by_last in states.values():
+        for poly in by_last:
+            total = _add(total, poly)
     return TPoly(total)
 
 
-def _avector_polynomial(bvec):
-    """A(b): the sum of t^(a_1 + ... + a_m) over the admissible vectors of
-    b.  The last budget bounds no coordinate, so the cache ignores it."""
-    return _prefix_polynomial(tuple(bvec[:-1]))
-
-
-def generic_polynomial(monomials, k):
-    """Sum over monomials (integer coeff, exponent vector of length k+1) of
-    coeff * A(exponent vector): the t-generating polynomial of the model
-    whose budgets are drawn from that monomial expansion."""
+def generic_polynomial(terms, k, memo=None):
+    """Sum over terms (integer coeff, partition mu) of coeff * L_k(m_mu):
+    the t-generating polynomial of the model whose budgets are drawn from
+    the symmetric function sum of coeff * m_mu in k+1 variables.  A mu
+    with more than k+1 parts contributes 0.  ``memo``, a dict, keeps each
+    L_k(m_mu) computed for reuse by later calls that pass it."""
+    memo = {} if memo is None else memo
     acc = []
-    for coeff, exps in monomials:
+    for coeff, mu in terms:
         if not isinstance(coeff, int):
-            raise TypeError("monomial coefficient %r is not an integer" % (coeff,))
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != k + 1:
-            raise ValueError("exponent vector %r has length != %d" % (exps, k + 1))
-        acc = _add(acc, [coeff * c for c in _avector_polynomial(exps).coeffs])
+            raise TypeError("m-coefficient %r is not an integer" % (coeff,))
+        key = (mu if isinstance(mu, Partition) else Partition(mu), k)
+        if key not in memo:
+            memo[key] = _budget_functional(*key)
+        acc = _add(acc, [coeff * c for c in memo[key].coeffs])
     return TPoly(acc)
+
+
+def _bounded_vectors(caps, total):
+    """Every x with 0 <= x_i <= caps[i] and x_1 + x_2 + ... = total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    room = sum(caps[1:])
+    for x in range(max(0, total - room), min(caps[0], total) + 1):
+        for rest in _bounded_vectors(caps[1:], total - x):
+            yield (x,) + rest
+
+
+# How much one removal may take from each part of a shape nu: one cell (a
+# 0-1 matrix row, for e), any number (an integer matrix row, for h), or a
+# horizontal strip, at most nu_i - nu_{i+1} cells of row i (for s).
+_REMOVAL_CAPS = {
+    "e": lambda nu: tuple(min(p, 1) for p in nu),
+    "h": lambda nu: nu,
+    "s": lambda nu: tuple(p - q for p, q in zip(nu, nu[1:] + (0,))),
+}
+
+
+def _removal_count(caps, nu, sizes, memo):
+    """Ways to empty the shape nu by removing sizes[0], sizes[1], ... cells
+    in turn, each removal within caps(nu)."""
+    if not sizes:
+        return 1  # the sizes sum to |nu|, so nu is empty here
+    key = (nu, sizes)
+    if key not in memo:
+        count = 0
+        for xs in _bounded_vectors(caps(nu), sizes[0]):
+            rest = sorted((p - x for p, x in zip(nu, xs) if p > x), reverse=True)
+            count += _removal_count(caps, tuple(rest), sizes[1:], memo)
+        memo[key] = count
+    return memo[key]
+
+
+def m_expansion(basis, lam, nvars):
+    """(coeff, mu) for every partition mu with at most nvars parts and a
+    nonzero coefficient of m_mu in the element of ``basis`` ("m", "e", "h"
+    or "s") indexed by lam.
+
+    The coefficient of m_mu in e_lam (h_lam) counts the 0-1 (nonnegative
+    integer) matrices with row sums mu and column sums lam; in s_lam it is
+    the Kostka number, the tableaux of shape lam and content mu, whose
+    cells holding each entry form a horizontal strip.  Each count removes
+    mu's parts from lam one by one; the counts do not depend on the order
+    of mu's parts, so partially removed shapes are sorted and shared.  A
+    matrix count is the same for the transpose, so the shorter partition is
+    the shape: removing many small parts from few rows is the cheap way.
+    """
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    if basis == "m":
+        return [(1, lam)] if len(lam) <= nvars else []
+    caps, memo, out = _REMOVAL_CAPS[basis], {}, []
+    for mu in partitions_of(lam.size):
+        if len(mu) <= nvars:
+            shape, sizes = lam.parts, mu.parts
+            if basis != "s" and len(mu) < len(lam):
+                shape, sizes = sizes, shape
+            coeff = _removal_count(caps, shape, sizes, memo)
+            if coeff:
+                out.append((coeff, mu))
+    return out
 
 
 class MSequence:
@@ -197,7 +279,7 @@ def msequence_polynomial(lam, k):
     """Sum of t^rho over the M-sequences for lam and k."""
     if k < 1:
         raise ValueError("k must be positive")
-    return generic_polynomial(monomials_of_m(lam, k + 1), k)
+    return generic_polynomial([(1, lam)], k)
 
 
 class OSPSequence:
@@ -271,7 +353,9 @@ def osp_polynomial(n, k):
     series of the Delta image)."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    return generic_polynomial(monomials_of_p1n(n, k + 1), k)
+    multinomials = [(factorial(n) // prod(map(factorial, mu)), mu)
+                    for mu in partitions_of(n)]
+    return generic_polynomial(multinomials, k)
 
 
 def ssyt_fillings(lam, max_entry):
@@ -369,6 +453,8 @@ class SSYTSequence:
 def ssyt_sequences(lam, k):
     """All tableau sequences for lam with entries bounded by k+1."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
+    if k < 1:
+        raise ValueError("k must be positive")
     out = []
     for tableau in ssyt_fillings(lam, k + 1):
         content = tableau_content(tableau, k + 1)
@@ -380,92 +466,6 @@ def ssyt_sequences(lam, k):
 def ssyt_polynomial(lam, k):
     """Sum of t^weight over tableau sequences (the q=1 Schur coefficient of
     the conjugate shape)."""
-    return generic_polynomial(monomials_of_s(lam, k + 1), k)
-
-
-def monomials_of_m(lam, nvars):
-    """Monomial expansion of m_lam in nvars variables."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    if len(lam) > nvars:
-        return []
-    return [(1, exps) for exps in padded_rearrangements(lam, nvars)]
-
-
-def monomials_of_p1n(n, nvars):
-    """Monomial expansion of p_1^n in nvars variables."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == nvars - 1:
-            exps = tuple(prefix) + (remaining,)
-            coeff = factorial(n)
-            for e in exps:
-                coeff //= factorial(e)
-            out.append((coeff, exps))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    rec([], n)
-    return out
-
-
-def _exponent_product(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
-
-
-def _monomials_of_er(r, nvars):
-    out = {}
-    for chosen in combinations(range(nvars), r):
-        exps = tuple(1 if i in chosen else 0 for i in range(nvars))
-        out[exps] = 1
-    return out
-
-
-def _monomials_of_hr(r, nvars):
-    out = {}
-
-    def rec(prefix, remaining):
-        if len(prefix) == nvars - 1:
-            out[tuple(prefix) + (remaining,)] = 1
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    rec([], r)
-    return out
-
-
-def monomials_of_e(lam, nvars):
-    """Monomial expansion of e_lam in nvars variables."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    acc = {(0,) * nvars: 1}
-    for part in lam:
-        if part > nvars:
-            return []
-        acc = _exponent_product(acc, _monomials_of_er(part, nvars))
-    return sorted((c, e) for e, c in acc.items())
-
-
-def monomials_of_h(lam, nvars):
-    """Monomial expansion of h_lam in nvars variables."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    acc = {(0,) * nvars: 1}
-    for part in lam:
-        acc = _exponent_product(acc, _monomials_of_hr(part, nvars))
-    return sorted((c, e) for e, c in acc.items())
-
-
-def monomials_of_s(lam, nvars):
-    """Monomial expansion of s_lam in nvars variables, via tableau contents."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    acc = {}
-    for tableau in ssyt_fillings(lam, nvars):
-        content = tableau_content(tableau, nvars)
-        acc[content] = acc.get(content, 0) + 1
-    return sorted((c, e) for e, c in acc.items())
+    if k < 1:
+        raise ValueError("k must be positive")
+    return generic_polynomial(m_expansion("s", lam, k + 1), k)

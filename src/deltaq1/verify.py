@@ -114,15 +114,15 @@ def check_bijection(n_max=7):
                 return {"n": n, "k": k, "object": decorated.to_json(),
                         "reason": "round trip failed"}
             lam = decorated.path.vertical_run_partition()
-            seen.setdefault(lam, set()).add(seq)
+            seen.setdefault(lam, {})[seq] = back
         for lam in partitions_of(n):
             expected = msequences(lam, k)
-            got = seen.get(lam, set())
-            if len(expected) != len(got) or set(expected) != got:
+            got = seen.get(lam, {})
+            if len(expected) != len(got) or set(expected) != got.keys():
                 return {"n": n, "k": k, "partition": lam.to_json(),
                         "reason": "image does not exhaust the M-sequences"}
             for seq in expected:
-                if msequence_to_decorated(seq).decorated_area() != seq.rho():
+                if got[seq].decorated_area() != seq.rho():
                     return {"n": n, "k": k, "object": seq.to_json(),
                             "reason": "inverse weight not preserved"}
         return None

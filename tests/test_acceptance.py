@@ -12,7 +12,7 @@ from deltaq1.bijection import decorated_to_msequence, msequence_to_decorated
 from deltaq1.dyck import DecoratedDyckPath, DyckPath, enumerate_decorated
 from deltaq1.msequences import (
     generic_polynomial,
-    monomials_of_h,
+    m_expansion,
     msequence_polynomial,
     msequences,
     osp_polynomial,
@@ -147,7 +147,7 @@ def test_criterion_7_schur_expansion():
                     ok = False
                 if any(c < 0 for c in combinatorial.coeffs):
                     ok = False
-                via_forgotten = generic_polynomial(monomials_of_h(lam, k + 1), k)
+                via_forgotten = generic_polynomial(m_expansion("h", lam, k + 1), k)
                 if image.convert("f").coeff(lam) != via_forgotten:
                     ok = False
                 if any(c < 0 for c in via_forgotten.coeffs):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,7 @@ from deltaq1.msequences import (
     SSYTSequence,
     admissible_avectors,
     generic_polynomial,
-    monomials_of_e,
-    monomials_of_h,
-    monomials_of_m,
-    monomials_of_p1n,
-    monomials_of_s,
+    m_expansion,
     msequence_polynomial,
     msequences,
     osp_polynomial,
@@ -23,8 +20,9 @@ from deltaq1.msequences import (
     ssyt_fillings,
     ssyt_polynomial,
     ssyt_sequences,
+    tableau_content,
 )
-from deltaq1.partitions import Partition, partitions_of
+from deltaq1.partitions import Partition, padded_rearrangements, partitions_of
 from deltaq1.tarith import TPoly
 
 
@@ -133,8 +131,6 @@ def test_enumerated_ssyt_reject_upward_mutation():
     for lam in partitions_of(3):
         for k in (1, 2):
             for seq in ssyt_sequences(lam, k):
-                from deltaq1.msequences import tableau_content
-
                 content = tableau_content(seq.tableau, k + 1)
                 for i in range(1, k + 1):
                     bumped = list(seq.avec)
@@ -176,16 +172,68 @@ def test_ssyt_validation():
         SSYTSequence(((1, 1), (1,)), (0, 0), 1)
     with pytest.raises(ValueError):
         SSYTSequence(((1, 2),), (0, 1), 1)  # a_2 < c_1 = 1 fails
+    for lam, k in (([1], 0), ([2], -1)):
+        with pytest.raises(ValueError, match="k must be positive"):
+            ssyt_polynomial(lam, k)
+        with pytest.raises(ValueError, match="k must be positive"):
+            ssyt_sequences(lam, k)
 
 
 def test_generic_polynomial_examples():
-    assert generic_polynomial(monomials_of_m([2], 2), 1) == TPoly([1, 1])
-    assert generic_polynomial(monomials_of_p1n(2, 2), 1) == TPoly([3, 1])
+    assert generic_polynomial([(1, [2])], 1) == TPoly([1, 1])
+    # p_1^2 = m_2 + 2 m_11
+    assert generic_polynomial([(1, [2]), (2, [1, 1])], 1) == TPoly([3, 1])
     assert generic_polynomial([], 1) == TPoly()
+    # m_111 vanishes in k+1 = 2 variables
+    assert generic_polynomial([(1, [1, 1, 1])], 1) == TPoly()
     with pytest.raises(TypeError):
-        generic_polynomial([(Fraction(1, 2), (2, 0))], 1)
-    with pytest.raises(ValueError):
-        generic_polynomial([(1, (2, 0))], 2)
+        generic_polynomial([(Fraction(1, 2), [2])], 1)
+    memo = {}
+    generic_polynomial([(3, [2]), (1, [2])], 1, memo)
+    assert memo == {(Partition([2]), 1): TPoly([1, 1])}
+
+
+def _vectors(total, nvars, top):
+    """Exponent vectors of length nvars, entries at most top, summing to
+    total."""
+    if nvars == 0:
+        return [()] if total == 0 else []
+    return [(x,) + rest for x in range(min(top, total) + 1)
+            for rest in _vectors(total - x, nvars - 1, top)]
+
+
+def _multiply_out(factors, nvars):
+    """Exponent vector -> coefficient of a product of sums of monomials,
+    each factor a list of exponent vectors."""
+    acc = {(0,) * nvars: 1}
+    for factor in factors:
+        out = {}
+        for exps, coeff in acc.items():
+            for more in factor:
+                key = tuple(map(add, exps, more))
+                out[key] = out.get(key, 0) + coeff
+        acc = out
+    return acc
+
+
+def brute_monomials(basis, lam, nvars):
+    """The monomial expansion in nvars variables of m_lam, e_lam, h_lam,
+    s_lam or (basis "p") p_1^|lam|, term by term."""
+    lam = Partition(lam)
+    if basis == "m":
+        return {e: 1 for e in _vectors(lam.size, nvars, lam.size)
+                if Partition(e) == lam}
+    if basis == "s":
+        out = {}
+        for tableau in ssyt_fillings(lam, nvars):
+            content = tableau_content(tableau, nvars)
+            out[content] = out.get(content, 0) + 1
+        return out
+    if basis == "p":
+        return _multiply_out([_vectors(1, nvars, 1)] * lam.size, nvars)
+    top = {"e": lambda part: 1, "h": lambda part: part}[basis]
+    return _multiply_out([_vectors(part, nvars, top(part)) for part in lam],
+                         nvars)
 
 
 def test_generic_polynomial_specializes():
@@ -193,28 +241,39 @@ def test_generic_polynomial_specializes():
     # monomial expansion the models and the expand command use
     def direct(monomials):
         acc = TPoly()
-        for coeff, exps in monomials:
+        for exps, coeff in monomials.items():
             for avec in admissible_avectors(exps):
                 acc = acc + coeff * TPoly.t_power(sum(avec))
         return acc
 
     for n in range(1, 6):
         for k in range(1, n + 1):
-            expansion = monomials_of_p1n(n, k + 1)
-            assert generic_polynomial(expansion, k) == direct(expansion)
+            assert osp_polynomial(n, k) == direct(
+                brute_monomials("p", [1] * n, k + 1))
             for lam in partitions_of(n):
-                for expand in (monomials_of_m, monomials_of_s, monomials_of_e,
-                               monomials_of_h):
-                    expansion = expand(lam, k + 1)
-                    assert generic_polynomial(expansion, k) == direct(expansion)
+                for basis in "mseh":
+                    assert generic_polynomial(
+                        m_expansion(basis, lam, k + 1), k
+                    ) == direct(brute_monomials(basis, lam, k + 1))
 
 
 def test_monomial_expansions_are_symmetric_sums():
-    # total monomial coefficients evaluate the function at all-ones
-    assert sum(c for c, _ in monomials_of_e([2, 1], 3)) == 9  # e_2 e_1 at x=1^3
-    assert sum(c for c, _ in monomials_of_h([2], 2)) == 3
-    assert sum(c for c, _ in monomials_of_p1n(3, 2)) == 8
-    assert sum(c for c, _ in monomials_of_s([2, 1], 3)) == 8
+    assert m_expansion("e", [2, 1], 3) == [(1, Partition([2, 1])),
+                                           (3, Partition([1, 1, 1]))]
+    assert m_expansion("h", [2], 2) == [(1, Partition([2])),
+                                        (1, Partition([1, 1]))]
+    assert m_expansion("s", [2, 1], 2) == [(1, Partition([2, 1]))]
+    assert m_expansion("m", [1, 1, 1], 2) == []
+    # each coefficient of m_mu is that of x^mu in the brute-force expansion
+    for n in range(1, 6):
+        for nvars in range(1, n + 2):
+            for lam in partitions_of(n):
+                for basis in "mseh":
+                    brute = brute_monomials(basis, lam, nvars)
+                    expected = {Partition(e): c for e, c in brute.items()
+                                if list(e) == sorted(e, reverse=True)}
+                    got = m_expansion(basis, lam, nvars)
+                    assert {mu: c for c, mu in got} == expected
 
 
 def test_json():
@@ -225,20 +284,22 @@ def test_json():
     assert osp.to_json() == {"pairs": [[0, [1, 2]], [1, []]]}
 
 
-bvecs = st.lists(st.integers(0, 3), min_size=2, max_size=5).filter(
-    lambda b: b[0] > 0
-)
+partitions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(Partition)
 
 
-@given(bvecs)
+@given(partitions, st.integers(1, 5))
 @settings(max_examples=50, deadline=None)
-def test_avector_polynomial_counts(bvec):
-    from deltaq1.msequences import _avector_polynomial
+def test_avector_polynomial_counts(mu, k):
+    # L_k(m_mu) at t = 1 counts the admissible vectors of every ordering
+    from deltaq1.msequences import _budget_functional
 
-    vectors = admissible_avectors(tuple(bvec))
-    poly = _avector_polynomial(tuple(bvec))
-    assert len(vectors) == poly(1)
-    for avec in vectors:
-        assert avec[0] == 0
-        for i in range(len(avec) - 1):
-            assert avec[i + 1] < avec[i] + bvec[i]
+    count = 0
+    if len(mu) <= k + 1:
+        for bvec in padded_rearrangements(mu, k + 1):
+            vectors = admissible_avectors(bvec)
+            count += len(vectors)
+            for avec in vectors:
+                assert avec[0] == 0
+                for i in range(len(avec) - 1):
+                    assert avec[i + 1] < avec[i] + bvec[i]
+    assert _budget_functional(mu, k)(1) == count

@@ -49,12 +49,14 @@ def test_expand_json(capsys):
 
 
 def test_expand_all_bases_match_oracle(capsys):
-    for basis in ("e", "f", "m", "s"):
-        code, out, _ = run_cli(
-            capsys, "expand", "3", "2", "--basis", basis, "--oracle"
-        )
-        assert code == 0
-        assert json.loads(out)["oracle_match"] is True
+    # (8, 7) and (8, 8): the model route at k close to n, in every basis
+    for n, k in ((3, 2), (8, 7), (8, 8)):
+        for basis in ("e", "f", "m", "s"):
+            code, out, _ = run_cli(
+                capsys, "expand", str(n), str(k), "--basis", basis, "--oracle"
+            )
+            assert code == 0
+            assert json.loads(out)["oracle_match"] is True
 
 
 def test_expand_csv(capsys):
