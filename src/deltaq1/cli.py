@@ -59,9 +59,10 @@ def _cmd_expand(args):
     exit_code = 0
     if args.oracle:
         oracle_expr = delta_e(n, k).convert(args.basis)
+        by_partition = dict(terms)
         mismatches = []
         for lam in partitions_of(n):
-            combinatorial = TRat(dict(terms).get(lam, 0))
+            combinatorial = TRat(by_partition.get(lam, 0))
             if oracle_expr.coeff(lam) != combinatorial:
                 mismatches.append(
                     {
@@ -81,6 +82,10 @@ def _cmd_expand(args):
             cells = [str(poly.coeff(i)) for i in range(width)]
             lines.append('"%s",' % list(lam.parts) + ",".join(cells))
         print("\n".join(lines))
+        if exit_code:
+            # the table has no room for the verdict
+            print("oracle mismatch, first at partition %s"
+                  % mismatches[0]["partition"], file=sys.stderr)
     else:
         print(json.dumps(payload, indent=2))
     return exit_code

@@ -18,8 +18,11 @@ p -> basis tables (``_from_p``) has a closed form:
 * m: the number of ways to fill the parts of lam with the parts of mu;
 * f: eps_mu times the m row, by omega again.
 
-The basis -> p tables (``_to_p``) are closed forms too, except for m,
-which inverts the matrix of the m row above; no other table inverts one.
+The basis -> p tables (``_to_p``) need no construction of their own.  Under
+the Hall scalar product, where <p_mu, p_nu> = z_mu delta(mu, nu), e and f
+are dual bases, as are h and m, and s is self-dual.  So if b* is the dual
+basis of b, the coefficient of p_mu in b_lam is the coefficient of b*_lam
+in p_mu, divided by z_mu.  No table inverts a matrix.
 """
 
 from __future__ import annotations
@@ -94,11 +97,6 @@ def _pexp_mul(a, b):
 
 
 @lru_cache(maxsize=None)
-def _pexp_h(r):
-    return {nu.parts: Fraction(1, zee(nu)) for nu in partitions_of(r)}
-
-
-@lru_cache(maxsize=None)
 def _h_of_p(r):
     """p_r in the h basis, from log H(t) = sum_r p_r t^r / r."""
     out = {}
@@ -113,25 +111,12 @@ def _h_of_p(r):
 
 
 @lru_cache(maxsize=None)
-def _pexp_e(r):
-    return {nu.parts: Fraction(_eps(nu.parts), zee(nu)) for nu in partitions_of(r)}
-
-
-def _multiplicative_rows(plist, row_of):
-    """Rows lam -> the product of row_of(r) over the parts r of lam, where
-    monomials multiply by joining their parts."""
-    out = {}
-    for lam in plist:
-        acc = {(): 1}
-        for part in lam:
-            acc = _pexp_mul(acc, row_of(part))
-        out[lam] = acc
-    return out
-
-
-@lru_cache(maxsize=None)
 def _assignment_count(parts, targets):
-    """Number of maps from the listed parts onto slots with required sums."""
+    """Number of maps from the listed parts onto slots with required sums.
+
+    The count does not depend on the order of the slots, so each recursive
+    call passes them sorted in decreasing order and shares one memo entry
+    among all their orderings."""
     if not parts:
         return 1 if all(x == 0 for x in targets) else 0
     head, tail = parts[0], parts[1:]
@@ -139,65 +124,30 @@ def _assignment_count(parts, targets):
     for j, cap in enumerate(targets):
         if cap >= head:
             reduced = targets[:j] + (cap - head,) + targets[j + 1 :]
-            total += _assignment_count(tail, reduced)
+            total += _assignment_count(tail, tuple(sorted(reduced, reverse=True)))
     return total
 
 
-def _invert(rows):
-    """Inverse of a square matrix of Fractions by Gaussian elimination."""
-    n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [r[n:] for r in aug]
+# Hall dual bases: <b_lam, b*_nu> = delta(lam, nu).
+_DUAL = {"e": "f", "f": "e", "h": "m", "m": "h", "s": "s"}
 
 
 @lru_cache(maxsize=None)
 def _to_p(basis, n):
-    """Rows lam -> {mu: Fraction} expressing basis_lam in power sums."""
+    """Rows lam -> {mu: Fraction} expressing basis_lam in power sums: the
+    p -> dual-basis table transposed, each entry (mu, lam) over z_mu."""
     _check_degree(n)
     plist = [p.parts for p in partitions_of(n)]
     if basis == "p":
         return {lam: {lam: Fraction(1)} for lam in plist}
-    if basis in ("e", "h"):
-        return _multiplicative_rows(plist, _pexp_e if basis == "e" else _pexp_h)
-    if basis == "s":
-        return {
-            lam: {
-                mu: Fraction(character(lam, mu), zee(Partition(mu)))
-                for mu in plist
-                if character(lam, mu)
-            }
-            for lam in plist
-        }
-    if basis == "m":
-        # p_mu = sum_lam R[mu][lam] m_lam; invert R to express m in p.
-        r_rows = [
-            [Fraction(_assignment_count(mu, lam)) for lam in plist] for mu in plist
-        ]
-        r_inv = _invert(r_rows)
-        return {
-            lam: {
-                mu: r_inv[i][j]
-                for j, mu in enumerate(plist)
-                if r_inv[i][j]
-            }
-            for i, lam in enumerate(plist)
-        }
-    if basis == "f":
-        mrows = _to_p("m", n)
-        return {
-            lam: {mu: c * _eps(mu) for mu, c in row.items()}
-            for lam, row in mrows.items()
-        }
-    raise ValueError("unknown basis %r" % (basis,))
+    if basis not in _DUAL:
+        raise ValueError("unknown basis %r" % (basis,))
+    rows = {lam: {} for lam in plist}
+    for mu, row in _from_p(_DUAL[basis], n).items():
+        z = zee(mu)
+        for lam, c in row.items():
+            rows[lam][mu] = Fraction(c, z)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +164,12 @@ def _from_p(basis, n):
             for mu in plist
         }
     if basis in ("h", "e"):
-        rows = _multiplicative_rows(plist, _h_of_p)
+        rows = {}
+        for mu in plist:
+            acc = {(): 1}
+            for part in mu:
+                acc = _pexp_mul(acc, _h_of_p(part))
+            rows[mu] = acc
     elif basis in ("m", "f"):
         rows = {
             mu: {

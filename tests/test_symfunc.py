@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,10 @@ def test_hall_duality():
                 expected = TRat(1 if lam == mu else 0)
                 assert hall_inner(elem("e", lam), elem("f", mu)) == expected
                 assert hall_inner(elem("h", lam), elem("m", mu)) == expected
+                assert hall_inner(elem("s", lam), elem("s", mu)) == expected
+                assert hall_inner(
+                    elem("p", lam), elem("p", mu, Fraction(1, zee(mu)))
+                ) == expected
 
 
 def test_omega_examples():
@@ -156,31 +161,42 @@ def test_expr_json_round_trip():
 
 
 def test_transition_tables_are_inverse():
-    for n in range(9):
+    # each basis -> p table is read off the dual basis's p -> table, so
+    # this checks Hall orthogonality between independent closed forms
+    for n in range(symfunc.degree_bound() + 1):
         plist = [p.parts for p in partitions_of(n)]
         for basis in BASES:
             to_p, from_p = symfunc._to_p(basis, n), symfunc._from_p(basis, n)
             for lam in plist:
-                for nu in plist:
-                    entry = sum(
-                        (Fraction(c) * Fraction(from_p[mu].get(nu, 0))
-                         for mu, c in to_p[lam].items()),
-                        Fraction(0),
-                    )
-                    assert entry == (lam == nu), (basis, lam, nu)
+                row = {}
+                for mu, c in to_p[lam].items():
+                    for nu, d in from_p[mu].items():
+                        row[nu] = row.get(nu, 0) + c * d
+                assert {nu: c for nu, c in row.items() if c} == {lam: 1}, (
+                    basis, lam)
 
 
-def test_from_p_inverts_no_matrix(monkeypatch):
-    def refuse(rows):
-        raise AssertionError("_from_p inverted a matrix")
+@st.composite
+def assignment_problems(draw):
+    """Parts and slot sums, most of them reachable."""
+    parts = tuple(draw(st.lists(st.integers(1, 4), max_size=6)))
+    targets = [0] * draw(st.integers(1, 4))
+    for part in parts:
+        targets[draw(st.integers(0, len(targets) - 1))] += part
+    bump = draw(st.sampled_from((0, 0, 1)))
+    targets[draw(st.integers(0, len(targets) - 1))] += bump
+    return parts, tuple(targets)
 
-    symfunc._to_p.cache_clear()
-    symfunc._from_p.cache_clear()
-    monkeypatch.setattr(symfunc, "_invert", refuse)
-    try:
-        for n in range(symfunc.degree_bound() + 1):
-            for basis in BASES:
-                symfunc._from_p(basis, n)
-    finally:
-        symfunc._to_p.cache_clear()
-        symfunc._from_p.cache_clear()
+
+@given(assignment_problems())
+@settings(max_examples=80, deadline=None)
+def test_assignment_count_is_brute_force_and_slot_symmetric(problem):
+    parts, targets = problem
+    brute = 0
+    for slots in itertools.product(range(len(targets)), repeat=len(parts)):
+        sums = [0] * len(targets)
+        for part, slot in zip(parts, slots):
+            sums[slot] += part
+        brute += sums == list(targets)
+    for order in itertools.permutations(targets):
+        assert symfunc._assignment_count(parts, order) == brute

@@ -68,6 +68,26 @@ def test_expand_csv(capsys):
     assert '"[1, 1]",1,0' in lines
 
 
+def test_expand_csv_reports_oracle_mismatch(capsys, monkeypatch):
+    from deltaq1 import cli
+    from deltaq1.symfunc import SymFuncExpr
+
+    real = cli.delta_e
+
+    def off_by_e_n(n, k):
+        image = real(n, k)
+        return image + SymFuncExpr.basis_element("e", [n]).convert(image.basis)
+
+    _, expected, _ = run_cli(capsys, "expand", "3", "2", "--format", "csv")
+    monkeypatch.setattr(cli, "delta_e", off_by_e_n)
+    code, out, err = run_cli(
+        capsys, "expand", "3", "2", "--format", "csv", "--oracle"
+    )
+    assert code == 1
+    assert out == expected
+    assert err == "oracle mismatch, first at partition [3]\n"
+
+
 def test_expand_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["expand", "1", "2"])  # k > n
