@@ -63,6 +63,7 @@ from .diagrams import (
     can_combine,
     combine,
     diagrams_of_weight,
+    diagrams_up_to,
     fixed_to_msequence,
     involution,
     split,

@@ -14,6 +14,8 @@ columns satisfy the M-sequence inequalities.
 
 from __future__ import annotations
 
+from itertools import accumulate, combinations_with_replacement, product
+
 from .msequences import MSequence
 from .partitions import (
     Partition,
@@ -225,72 +227,45 @@ def involution(diagram):
     return None
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
+def diagrams_up_to(k, lam, degree_max):
+    """Every diagram over every partition of k+1 with weight at most
+    ``degree_max``, streamed.  The diagrams of each weight come in the
+    order ``diagrams_of_weight`` lists them."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    if len(lam) > k + 1:
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for mu in partitions_of(k + 1):
+        for arrangement in distinct_orderings(mu.parts):
+            caps = (arrangement[0] - 1,) + arrangement[1:]
+            ends = list(accumulate(arrangement))
+            for flat in padded_rearrangements(lam, k + 1):
+                chunks = [flat[end - rl : end] for rl, end in zip(arrangement, ends)]
+                room = degree_max - sum(
+                    j * v for chunk in chunks for j, v in enumerate(chunk)
+                )
+                # by_size[i][s]: the stacks at position i whose partition has size s
+                by_size = [
+                    [[ColumnStack(rl, above, chunk)
+                      for above in partitions_of(s, max_part=cap)]
+                     for s in range(room + 1)]
+                    for rl, chunk, cap in zip(arrangement, chunks, caps)
+                ]
+                # cuts: partial sums of the partition sizes, nondecreasing and
+                # at most room, in the lexicographic order of the size tuples
+                for cuts in combinations_with_replacement(range(room + 1), len(caps)):
+                    if cuts[0] and not caps[0]:
+                        continue
+                    choices = [column[b - a]
+                               for column, a, b in zip(by_size, (0,) + cuts, cuts)]
+                    for stacks in product(*choices):
+                        yield LabeledDiagram(stacks, lam)
 
 
 def diagrams_of_weight(k, lam, d):
     """All diagrams over all partitions of k+1 with weight exactly d."""
     if d < 0:
         raise ValueError("weight must be nonnegative")
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    m = k + 1
-    if len(lam) > m:
-        return []
-    out = []
-    for mu in partitions_of(m):
-        for arrangement in distinct_orderings(mu.parts):
-            caps = [
-                rl - 1 if idx == 0 else rl for idx, rl in enumerate(arrangement)
-            ]
-            cell_offsets = []
-            for rl in arrangement:
-                cell_offsets.append(list(range(rl)))
-            for flat in padded_rearrangements(lam, m):
-                chunks = []
-                pos = 0
-                for rl in arrangement:
-                    chunks.append(flat[pos : pos + rl])
-                    pos += rl
-                contribution = sum(
-                    j * v
-                    for offsets, chunk in zip(cell_offsets, chunks)
-                    for j, v in zip(offsets, chunk)
-                )
-                remaining = d - contribution
-                if remaining < 0:
-                    continue
-                for sizes in _compositions(remaining, len(arrangement)):
-                    choices = [
-                        partitions_of(s, max_part=cap)
-                        for s, cap in zip(sizes, caps)
-                    ]
-                    if any(not ch for ch in choices):
-                        continue
-
-                    def build(idx, acc):
-                        if idx == len(arrangement):
-                            out.append(LabeledDiagram(tuple(acc), lam))
-                            return
-                        for above in choices[idx]:
-                            build(
-                                idx + 1,
-                                acc
-                                + [
-                                    ColumnStack(
-                                        arrangement[idx], above, chunks[idx]
-                                    )
-                                ],
-                            )
-
-                    build(0, [])
-    return out
+    return [x for x in diagrams_up_to(k, lam, d) if x.weight() == d]
 
 
 def fixed_to_msequence(diagram):

@@ -89,10 +89,6 @@ class Partition:
         parts.remove(value)
         return Partition(parts)
 
-    def nstat(self):
-        """The statistic sum of (i-1) * parts[i-1] over rows i."""
-        return sum(i * p for i, p in enumerate(self._parts))
-
     def to_json(self):
         return list(self._parts)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 
 from .bijection import decorated_to_msequence, msequence_to_decorated
-from .diagrams import diagrams_of_weight, fixed_to_msequence, involution
+from .diagrams import diagrams_up_to, fixed_to_msequence, involution
 from .dyck import enumerate_decorated, enumerate_paths, decoration_weight
 from .msequences import (
     msequence_polynomial,
@@ -130,6 +130,55 @@ def check_bijection(n_max=7):
     return _report("bijection", {"n_max": n_max}, cases, run, started)
 
 
+def _involution_verdicts(n, k, lam, degree_max, audit):
+    """The counterexample of each slice (n, k, lam, d), d <= degree_max, or
+    None, from one pass over the diagrams of (k, lam) that checks each as it
+    goes past.  Also the pairings of weight ``audit`` met before that
+    weight's first failing diagram."""
+    signed = [0] * (degree_max + 1)
+    fixed = [[] for _ in signed]
+    verdicts = [None] * len(signed)
+    pairings = []
+    for diagram in diagrams_up_to(k, lam, degree_max):
+        w = diagram.weight()
+        if verdicts[w]:
+            continue
+        signed[w] += diagram.sign()
+        partner = involution(diagram)
+        reason = None
+        if partner is None:
+            if any(st.row_len != 1 for st in diagram.stacks):
+                reason = "wide fixed point"
+            else:
+                fixed[w].append(fixed_to_msequence(diagram).pairs)
+        elif partner.weight() != w:
+            reason = "weight changed"
+        elif partner.sign() != -diagram.sign():
+            reason = "sign not reversed"
+        elif involution(partner) != diagram:
+            reason = "not an involution"
+        elif w == audit:
+            pairings.append({"diagram": diagram.to_json(),
+                             "partner": partner.to_json()})
+        if reason:
+            verdicts[w] = {"case": [n, k, lam.to_json(), w], "reason": reason,
+                           "object": diagram.to_json()}
+    seqs = msequences(lam, k)
+    poly = msequence_polynomial(lam, k)
+    for d in range(degree_max + 1):
+        if verdicts[d]:
+            continue
+        expected = sorted(seq.pairs for seq in seqs if seq.rho() == d)
+        if sorted(fixed[d]) != expected:
+            reason = "fixed points differ from M-sequences"
+        elif signed[d] != poly.coeff(d):
+            reason = "signed count %d != coefficient %d" % (signed[d], poly.coeff(d))
+        else:
+            continue
+        verdicts[d] = {"case": [n, k, lam.to_json(), d], "reason": reason}
+    return verdicts, pairings
+
+
 def check_involution(n_max=5, k_max=3, degree_max=8, audit=None):
     """Involution laws on every degree slice: pairs have equal weight and
     opposite sign and map back; fixed points are exactly the M-sequences;
@@ -143,46 +192,17 @@ def check_involution(n_max=5, k_max=3, degree_max=8, audit=None):
         for d in range(degree_max + 1)
     ]
     pairings = []
+    verdicts = audited = None
 
     def run(case):
+        nonlocal verdicts, audited
         n, k, lam, d = case
-        diagrams = diagrams_of_weight(k, lam, d)
-        signed = 0
-        fixed_seqs = []
-        for diagram in diagrams:
-            signed += diagram.sign()
-            partner = involution(diagram)
-            if partner is None:
-                if any(st.row_len != 1 for st in diagram.stacks):
-                    return {"case": [n, k, lam.to_json(), d],
-                            "reason": "wide fixed point",
-                            "object": diagram.to_json()}
-                fixed_seqs.append(fixed_to_msequence(diagram))
-                continue
-            if partner.weight() != diagram.weight():
-                return {"case": [n, k, lam.to_json(), d],
-                        "reason": "weight changed",
-                        "object": diagram.to_json()}
-            if partner.sign() != -diagram.sign():
-                return {"case": [n, k, lam.to_json(), d],
-                        "reason": "sign not reversed",
-                        "object": diagram.to_json()}
-            if involution(partner) != diagram:
-                return {"case": [n, k, lam.to_json(), d],
-                        "reason": "not an involution",
-                        "object": diagram.to_json()}
-            if d == audit:
-                pairings.append({"diagram": diagram.to_json(),
-                                 "partner": partner.to_json()})
-        expected = [s for s in msequences(lam, k) if s.rho() == d]
-        if sorted(s.pairs for s in fixed_seqs) != sorted(s.pairs for s in expected):
-            return {"case": [n, k, lam.to_json(), d],
-                    "reason": "fixed points differ from M-sequences"}
-        coeff = msequence_polynomial(lam, k).coeff(d)
-        if signed != coeff:
-            return {"case": [n, k, lam.to_json(), d],
-                    "reason": "signed count %d != coefficient %d" % (signed, coeff)}
-        return None
+        if d == 0:  # the first of the slices of (k, lam), which run in order
+            verdicts, audited = _involution_verdicts(n, k, lam, degree_max,
+                                                     audit)
+        if d == audit:
+            pairings.extend(audited)
+        return verdicts[d]
 
     report = _report(
         "involution",

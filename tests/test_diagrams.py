@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import permutations
+
 import pytest
 
 from deltaq1.diagrams import (
@@ -6,12 +9,14 @@ from deltaq1.diagrams import (
     can_combine,
     combine,
     diagrams_of_weight,
+    diagrams_up_to,
     fixed_to_msequence,
     involution,
     split,
 )
 from deltaq1.msequences import msequence_polynomial, msequences
 from deltaq1.partitions import Partition, partitions_of
+from deltaq1.tarith import TPoly, TSeries, partitions_bounded_series
 
 
 def test_stack_weight_without_labels():
@@ -128,15 +133,14 @@ def test_round_trip_on_enumerated_diagrams():
     for k in (1, 2, 3):
         for n in range(1, 4):
             for lam in partitions_of(n):
-                for d in range(5):
-                    for diagram in diagrams_of_weight(k, lam, d):
-                        for i, st in enumerate(diagram.stacks):
-                            if st.row_len > 1:
-                                assert combine(split(diagram, i), i) == diagram
-                            elif i + 1 < len(diagram.stacks) and can_combine(
-                                diagram, i
-                            ):
-                                assert split(combine(diagram, i), i) == diagram
+                for diagram in diagrams_up_to(k, lam, 4):
+                    for i, st in enumerate(diagram.stacks):
+                        if st.row_len > 1:
+                            assert combine(split(diagram, i), i) == diagram
+                        elif i + 1 < len(diagram.stacks) and can_combine(
+                            diagram, i
+                        ):
+                            assert split(combine(diagram, i), i) == diagram
 
 
 def test_involution_pairs_and_cancels():
@@ -144,38 +148,36 @@ def test_involution_pairs_and_cancels():
         for n in range(1, 5):
             for lam in partitions_of(n):
                 poly = msequence_polynomial(lam, k)
+                signed = [0] * 7
+                fixed = [[] for _ in range(7)]
+                for diagram in diagrams_up_to(k, lam, 6):
+                    d = diagram.weight()
+                    signed[d] += diagram.sign()
+                    partner = involution(diagram)
+                    if partner is None:
+                        assert all(st.row_len == 1 for st in diagram.stacks)
+                        fixed[d].append(fixed_to_msequence(diagram))
+                    else:
+                        assert partner.weight() == diagram.weight()
+                        assert partner.sign() == -diagram.sign()
+                        assert involution(partner) == diagram
                 for d in range(7):
-                    signed = 0
-                    fixed = []
-                    for diagram in diagrams_of_weight(k, lam, d):
-                        signed += diagram.sign()
-                        partner = involution(diagram)
-                        if partner is None:
-                            assert all(
-                                st.row_len == 1 for st in diagram.stacks
-                            )
-                            fixed.append(fixed_to_msequence(diagram))
-                        else:
-                            assert partner.weight() == diagram.weight()
-                            assert partner.sign() == -diagram.sign()
-                            assert involution(partner) == diagram
-                    assert signed == poly.coeff(d)
+                    assert signed[d] == poly.coeff(d)
                     expected = sorted(
                         s.pairs for s in msequences(lam, k) if s.rho() == d
                     )
-                    assert sorted(s.pairs for s in fixed) == expected
+                    assert sorted(s.pairs for s in fixed[d]) == expected
 
 
 def test_fixed_points_weights():
     for k in (1, 2, 3):
         for n in range(1, 5):
             for lam in partitions_of(n):
-                for d in range(6):
-                    for diagram in diagrams_of_weight(k, lam, d):
-                        if involution(diagram) is None:
-                            seq = fixed_to_msequence(diagram)
-                            assert seq.rho() == diagram.weight() == d
-                            assert seq.avec()[0] == 0
+                for diagram in diagrams_up_to(k, lam, 5):
+                    if involution(diagram) is None:
+                        seq = fixed_to_msequence(diagram)
+                        assert seq.rho() == diagram.weight() <= 5
+                        assert seq.avec()[0] == 0
 
 
 def test_fixed_to_msequence_rejects_wide():
@@ -189,18 +191,66 @@ def test_noncombinability_survives_later_merge():
     for k in (2, 3):
         for n in range(1, 4):
             for lam in partitions_of(n):
-                for d in range(6):
-                    for diagram in diagrams_of_weight(k, lam, d):
-                        stacks = diagram.stacks
-                        for i in range(len(stacks) - 2):
-                            if stacks[i].row_len != 1 or stacks[i + 1].row_len != 1:
-                                continue
-                            if can_combine(diagram, i):
-                                continue
-                            if not can_combine(diagram, i + 1):
-                                continue
-                            merged = combine(diagram, i + 1)
-                            assert can_combine(merged, i) is False
+                for diagram in diagrams_up_to(k, lam, 5):
+                    stacks = diagram.stacks
+                    for i in range(len(stacks) - 2):
+                        if stacks[i].row_len != 1 or stacks[i + 1].row_len != 1:
+                            continue
+                        if can_combine(diagram, i):
+                            continue
+                        if not can_combine(diagram, i + 1):
+                            continue
+                        merged = combine(diagram, i + 1)
+                        assert can_combine(merged, i) is False
+
+
+def test_diagrams_up_to_counts_match_the_weight_series():
+    # the weight series, independent of the enumerator: per ordering of the
+    # row lengths and placement of the labels, t^(label contribution) times
+    # one series of bounded partitions per stack, the first stack's bounded
+    # by one less than its row
+    for k in (1, 2, 3):
+        for n in range(5):
+            for lam in partitions_of(n):
+                padded = lam.parts + (0,) * (k + 1 - len(lam))
+                placements = set(permutations(padded)) if len(lam) <= k + 1 else ()
+                for cap in range(7):
+                    series = TSeries.zero(cap)
+                    for mu in partitions_of(k + 1):
+                        for rows in set(permutations(mu.parts)):
+                            for flat in placements:
+                                term = TSeries.from_poly(
+                                    TPoly.t_power(_label_contribution(rows, flat)),
+                                    cap,
+                                )
+                                for i, row_len in enumerate(rows):
+                                    term = term * partitions_bounded_series(
+                                        row_len - (i == 0), cap
+                                    )
+                                series = series + term
+                    seen = list(diagrams_up_to(k, lam, cap))
+                    assert len(set(seen)) == len(seen)
+                    weights = Counter(x.weight() for x in seen)
+                    assert all(w <= cap for w in weights)
+                    assert tuple(weights[w] for w in range(cap + 1)) == series.coeffs
+
+
+def _label_contribution(rows, flat):
+    """Each label times its cell's position in its row."""
+    total, start = 0, 0
+    for row_len in rows:
+        total += sum(j * v for j, v in enumerate(flat[start : start + row_len]))
+        start += row_len
+    return total
+
+
+def test_diagrams_of_weight_edge_cases():
+    # more labels than cells, and a negative weight
+    assert diagrams_of_weight(1, [1, 1, 1], 2) == []
+    assert list(diagrams_up_to(1, [1, 1, 1], 2)) == []
+    assert list(diagrams_up_to(2, [1], -1)) == []
+    with pytest.raises(ValueError):
+        diagrams_of_weight(1, [1], -1)
 
 
 def test_diagram_json():

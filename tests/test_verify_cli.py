@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltaq1 import verify
 from deltaq1.cli import _MAX_DEGREE, _MAX_K, _MAX_ROWS, main
+from deltaq1.diagrams import ColumnStack, LabeledDiagram
+from deltaq1.tarith import TPoly
 from deltaq1.verify import run_suite
 
 
@@ -190,6 +194,68 @@ def test_verify_involution_audit(capsys):
         assert set(entry) == {"diagram", "partner"}
 
 
+def test_verify_involution_audit_order_is_pinned(capsys):
+    # the pairings come in enumeration order: reordering the diagrams of a
+    # slice changes the report, and with it this digest
+    code, out, _ = run_cli(
+        capsys, "verify", "involution", "--n-max", "3", "--k-max", "2",
+        "--degree-max", "3", "--audit", "3",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ddc900287b88d91de6d5f83ef10ba1c4f254a56fc85e981cd1bbe09441d3a755"
+    )
+
+
+def test_involution_suite_reports_first_failing_diagram(capsys, monkeypatch):
+    # one wide diagram of the slice (n, k, lam, d) = (3, 2, [2, 1], 3) made
+    # its own partner: the first slice holding it fails, on that diagram
+    chosen = LabeledDiagram([ColumnStack(3, [1], (1, 2, 0))], [2, 1])
+    real = verify.involution
+    monkeypatch.setattr(
+        verify, "involution", lambda d: d if d == chosen else real(d)
+    )
+    expected = {
+        "case": [3, 2, [2, 1], 3],
+        "reason": "sign not reversed",
+        "object": {"stacks": [{"row_len": 3, "above": [1], "labels": [1, 2, 0]}]},
+    }
+    code, out, _ = run_cli(capsys, "verify", "involution", "--n-max", "3")
+    report = json.loads(out)
+    assert (code, report["status"], report["cases"]) == (1, "fail", 162)
+    assert report["counterexample"] == expected
+    # the audit holds the pairings met before the failure: the failing
+    # slice's up to the broken diagram, none of later (k, lam) slices
+    for audit, pairings in ((2, 148), (3, 145), (4, 182)):
+        report = run_suite(
+            "involution", n_max=3, k_max=2, degree_max=4, audit=audit
+        )
+        assert report["counterexample"] == expected
+        assert len(report["audit"]["pairings"]) == pairings
+
+
+@pytest.mark.parametrize("name, change, case, reason", [
+    ("msequence_polynomial", lambda poly: poly + TPoly.t_power(2),
+     [3, 2, [2, 1], 2], "signed count 1 != coefficient 2"),
+    # the last M-sequence of ([2, 1], 2) has rho 1
+    ("msequences", lambda seqs: seqs[:-1],
+     [3, 2, [2, 1], 1], "fixed points differ from M-sequences"),
+])
+def test_involution_suite_reports_model_mismatch(
+    capsys, monkeypatch, name, change, case, reason
+):
+    real = getattr(verify, name)
+
+    def changed(lam, k):
+        return change(real(lam, k)) if (lam, k) == ([2, 1], 2) else real(lam, k)
+
+    monkeypatch.setattr(verify, name, changed)
+    code, out, _ = run_cli(capsys, "verify", "involution", "--n-max", "3")
+    report = json.loads(out)
+    assert (code, report["status"]) == (1, "fail")
+    assert report["counterexample"] == {"case": case, "reason": reason}
+
+
 def test_phi_round_trip_cli(capsys):
     decorated = {"area_seq": [0, 1, 2, 3, 2, 3, 4, 2, 1, 2], "decorated_rows": [4, 6, 10]}
     code, out, _ = run_cli(capsys, "phi", json.dumps(decorated))
@@ -243,6 +309,18 @@ def test_phi_commands_cap_rows(capsys):
             else:
                 assert err.splitlines() == [err.strip()]
                 assert "at most %d rows" % _MAX_ROWS in err
+
+
+def test_phi_commands_reject_deeply_nested_json(capsys, monkeypatch):
+    # the JSON decoder gives up on deep nesting with a RecursionError
+    nested = "[" * 200000 + "]" * 200000
+    for command, prefix in (("phi", "invalid decorated path: "),
+                            ("phi-inverse", "invalid sequence: ")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(nested))
+        code, out, err = run_cli(capsys, command, "-")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(prefix) and "Traceback" not in err
 
 
 def test_hilbert_cli(capsys):
