@@ -19,7 +19,7 @@ from .oracle import delta_e
 from .partitions import partitions_of
 from .symfunc import degree_bound
 from .tarith import TRat
-from .verify import SUITES, run_suite, suite_options
+from .verify import SUITES, run_suite
 
 
 # The models compute L_k(g) = <omega F, g> for the Delta image F under the
@@ -92,7 +92,7 @@ def _cmd_expand(args):
 
 
 def _cmd_verify(args):
-    options = {name: getattr(args, name) for name in suite_options(args.suite)
+    options = {name: getattr(args, name) for name in SUITES[args.suite].options
                if getattr(args, name) is not None}
     report = run_suite(args.suite, **options)
     if not args.timing:
@@ -131,7 +131,7 @@ def _check_rows(rows):
 def _verify_usage(args):
     """Why the verify options are unusable (an option the suite does not
     read, or a value out of range), or None."""
-    reads = suite_options(args.suite)
+    reads = SUITES[args.suite].options
     degree_max = (reads.get("degree_max") if args.degree_max is None
                   else args.degree_max)
     for name, low, high in (("k_max", 1, _MAX_K), ("audit", 0, degree_max),
@@ -270,12 +270,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    n = args.n_max if args.command == "verify" else getattr(args, "n", None)
-    if n is not None and n > degree_bound():
-        parser.error("need n <= %d" % degree_bound())
+    verify = args.command == "verify"
+    n = args.n_max if verify else getattr(args, "n", None)
+    bound = SUITES[args.suite].n_ceiling if verify else degree_bound()
+    if n is not None and n > bound:
+        parser.error("need n <= %d" % bound)
     if getattr(args, "k", None) is not None and args.k > args.n:
         parser.error("need k <= n")
-    problem = _verify_usage(args) if args.command == "verify" else None
+    problem = _verify_usage(args) if verify else None
     if problem:
         parser.error(problem)
     return args.func(args)

@@ -1,13 +1,18 @@
 """Identity suites over parameter ranges, with machine-readable reports.
 
-Each suite walks a deterministic case list in order and stops at the first
-counterexample, serializing both sides.  A suite with no cases reports
-"empty", never a vacuous "pass".
+Each row of ``SUITES`` is a suite: its options with their defaults, in
+report order; its case list, a function of those options; the check of one
+case, which returns the counterexample, both sides serialized, or None; and
+the largest n it can take.  ``run_suite`` checks the cases in order up to
+the first counterexample.  A suite with no cases reports "empty", never a
+vacuous "pass".  The checks of one run share ``run``, a dict of what later
+cases reuse: eq2's Dyck paths of one n, involution's walk of one (k, lam).
 """
 
 from __future__ import annotations
 
 import time
+from typing import Callable, NamedTuple
 
 from .bijection import decorated_to_msequence, msequence_to_decorated
 from .diagrams import diagrams_up_to, fixed_to_msequence, involution
@@ -20,114 +25,83 @@ from .msequences import (
 )
 from .oracle import delta_e, haglund_check
 from .partitions import Partition, partitions_of
-from .symfunc import SymFuncExpr, hall_inner
+from .symfunc import SymFuncExpr, degree_bound, hall_inner
 from .tarith import TPoly, TRat
 
 
-def _report(name, parameters, cases, run, started):
-    failure = next(filter(None, map(run, cases)), None)
-    if failure:
-        status = "fail"
-    else:
-        status = "pass" if cases else "empty"
-    report = {
-        "identity": name,
-        "parameters": parameters,
-        "cases": len(cases),
-        "status": status,
-    }
-    if failure:
-        report["counterexample"] = failure
-    report["duration_seconds"] = round(time.monotonic() - started, 3)
-    return report
+def _nk_cases(n_max):
+    return [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)]
 
 
-def check_eq1(n_max=6):
+def _eq1(case, run):
     """Elementary-basis expansion from M-sequences against the eigenoperator
     route, coefficient by coefficient."""
-    started = time.monotonic()
-    cases = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)]
-
-    def run(case):
-        n, k = case
-        expr = delta_e(n, k)
-        for lam in partitions_of(n):
-            combinatorial = TRat(msequence_polynomial(lam, k))
-            if expr.coeff(lam) != combinatorial:
-                return {
-                    "n": n,
-                    "k": k,
-                    "partition": lam.to_json(),
-                    "msequence_side": combinatorial.to_json(),
-                    "oracle_side": expr.coeff(lam).to_json(),
-                }
-        return None
-
-    return _report("eq1", {"n_max": n_max}, cases, run, started)
+    n, k = case
+    expr = delta_e(n, k)
+    for lam in partitions_of(n):
+        combinatorial = TRat(msequence_polynomial(lam, k))
+        if expr.coeff(lam) != combinatorial:
+            return {
+                "n": n,
+                "k": k,
+                "partition": lam.to_json(),
+                "msequence_side": combinatorial.to_json(),
+                "oracle_side": expr.coeff(lam).to_json(),
+            }
+    return None
 
 
-def check_eq2(n_max=7):
+def _eq2(case, run):
     """M-sequence polynomials against area-weighted decoration sums over
     Dyck paths grouped by vertical run partition."""
-    started = time.monotonic()
-    cases = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)]
-    paths_by_n = {n: enumerate_paths(n) for n in range(1, n_max + 1)}
-
-    def run(case):
-        n, k = case
-        sums = {}
-        for path in paths_by_n[n]:
-            lam = path.vertical_run_partition()
-            sums[lam] = sums.get(lam, TPoly()) + decoration_weight(path, n - k)
-        for lam in partitions_of(n):
-            lhs = msequence_polynomial(lam, k)
-            rhs = sums.get(lam, TPoly())
-            if lhs != rhs:
-                return {
-                    "n": n,
-                    "k": k,
-                    "partition": lam.to_json(),
-                    "msequence_side": lhs.to_json(),
-                    "path_side": rhs.to_json(),
-                }
-        return None
-
-    return _report("eq2", {"n_max": n_max}, cases, run, started)
+    n, k = case
+    if k == 1:  # the first case of n; the cases run in order
+        run["paths"] = enumerate_paths(n)
+    sums = {}
+    for path in run["paths"]:
+        lam = path.vertical_run_partition()
+        sums[lam] = sums.get(lam, TPoly()) + decoration_weight(path, n - k)
+    for lam in partitions_of(n):
+        lhs = msequence_polynomial(lam, k)
+        rhs = sums.get(lam, TPoly())
+        if lhs != rhs:
+            return {
+                "n": n,
+                "k": k,
+                "partition": lam.to_json(),
+                "msequence_side": lhs.to_json(),
+                "path_side": rhs.to_json(),
+            }
+    return None
 
 
-def check_bijection(n_max=7):
+def _bijection(case, run):
     """Round trips in both directions, with weight transport and matching
     object counts for every (n, k, run partition)."""
-    started = time.monotonic()
-    cases = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)]
-
-    def run(case):
-        n, k = case
-        seen = {}
-        for decorated in enumerate_decorated(n, k):
-            seq = decorated_to_msequence(decorated)
-            if seq.rho() != decorated.decorated_area():
-                return {"n": n, "k": k, "object": decorated.to_json(),
-                        "reason": "weight not preserved"}
-            back = msequence_to_decorated(seq)
-            if back != decorated:
-                return {"n": n, "k": k, "object": decorated.to_json(),
-                        "reason": "round trip failed"}
-            lam = decorated.path.vertical_run_partition()
-            seen.setdefault(lam, {})[seq] = back
-        for lam in partitions_of(n):
-            expected = msequences(lam, k)
-            got = seen.get(lam, {})
-            if len(expected) != len(got) or set(expected) != got.keys():
-                return {"n": n, "k": k, "partition": lam.to_json(),
-                        "reason": "image does not exhaust the M-sequences"}
-            for seq in expected:
-                if got[seq].decorated_area() != seq.rho():
-                    return {"n": n, "k": k, "object": seq.to_json(),
-                            "reason": "inverse weight not preserved"}
-        return None
-
-    return _report("bijection", {"n_max": n_max}, cases, run, started)
+    n, k = case
+    seen = {}
+    for decorated in enumerate_decorated(n, k):
+        seq = decorated_to_msequence(decorated)
+        if seq.rho() != decorated.decorated_area():
+            return {"n": n, "k": k, "object": decorated.to_json(),
+                    "reason": "weight not preserved"}
+        back = msequence_to_decorated(seq)
+        if back != decorated:
+            return {"n": n, "k": k, "object": decorated.to_json(),
+                    "reason": "round trip failed"}
+        lam = decorated.path.vertical_run_partition()
+        seen.setdefault(lam, {})[seq] = back
+    for lam in partitions_of(n):
+        expected = msequences(lam, k)
+        got = seen.get(lam, {})
+        if len(expected) != len(got) or set(expected) != got.keys():
+            return {"n": n, "k": k, "partition": lam.to_json(),
+                    "reason": "image does not exhaust the M-sequences"}
+        for seq in expected:
+            if got[seq].decorated_area() != seq.rho():
+                return {"n": n, "k": k, "object": seq.to_json(),
+                        "reason": "inverse weight not preserved"}
+    return None
 
 
 def _involution_verdicts(n, k, lam, degree_max, audit):
@@ -179,133 +153,119 @@ def _involution_verdicts(n, k, lam, degree_max, audit):
     return verdicts, pairings
 
 
-def check_involution(n_max=5, k_max=3, degree_max=8, audit=None):
-    """Involution laws on every degree slice: pairs have equal weight and
-    opposite sign and map back; fixed points are exactly the M-sequences;
-    signed counts match the M-polynomial coefficients."""
-    started = time.monotonic()
-    cases = [
-        (n, k, lam, d)
+def _involution_cases(n_max, k_max, degree_max, audit):
+    return [
+        (n, k, lam, d, degree_max, audit)
         for n in range(1, n_max + 1)
         for k in range(1, k_max + 1)
         for lam in partitions_of(n)
         for d in range(degree_max + 1)
     ]
-    pairings = []
-    verdicts = audited = None
-
-    def run(case):
-        nonlocal verdicts, audited
-        n, k, lam, d = case
-        if d == 0:  # the first of the slices of (k, lam), which run in order
-            verdicts, audited = _involution_verdicts(n, k, lam, degree_max,
-                                                     audit)
-        if d == audit:
-            pairings.extend(audited)
-        return verdicts[d]
-
-    report = _report(
-        "involution",
-        {"n_max": n_max, "k_max": k_max, "degree_max": degree_max},
-        cases,
-        run,
-        started,
-    )
-    if audit is not None:
-        report["audit"] = {"degree": audit, "pairings": pairings}
-    return report
 
 
-def check_hilbert(n_max=5):
+def _involution(case, run):
+    """Involution laws on one degree slice: pairs have equal weight and
+    opposite sign and map back; fixed points are exactly the M-sequences;
+    signed counts match the M-polynomial coefficients."""
+    n, k, lam, d, degree_max, audit = case
+    if d == 0:  # the first of the slices of (k, lam), which run in order
+        run["verdicts"], run["audited"] = _involution_verdicts(
+            n, k, lam, degree_max, audit)
+    if d == audit:
+        run.setdefault("pairings", []).extend(run["audited"])
+    return run["verdicts"][d]
+
+
+def _hilbert(case, run):
     """Ordered-set-partition polynomials against the oracle inner product
     with the n-th power of the first power sum."""
-    started = time.monotonic()
-    cases = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)]
-
-    def run(case):
-        n, k = case
-        combinatorial = TRat(osp_polynomial(n, k))
-        p1n = SymFuncExpr.basis_element("p", Partition([1] * n))
-        via_oracle = hall_inner(delta_e(n, k), p1n)
-        if combinatorial != via_oracle:
-            return {"n": n, "k": k,
-                    "osp_side": combinatorial.to_json(),
-                    "oracle_side": via_oracle.to_json()}
-        return None
-
-    return _report("hilbert", {"n_max": n_max}, cases, run, started)
+    n, k = case
+    combinatorial = TRat(osp_polynomial(n, k))
+    p1n = SymFuncExpr.basis_element("p", Partition([1] * n))
+    via_oracle = hall_inner(delta_e(n, k), p1n)
+    if combinatorial != via_oracle:
+        return {"n": n, "k": k,
+                "osp_side": combinatorial.to_json(),
+                "oracle_side": via_oracle.to_json()}
+    return None
 
 
-def check_schur(n_max=5):
+def _schur(case, run):
     """Tableau-sequence polynomials against the oracle Schur coefficients,
     including nonnegativity of every coefficient."""
-    started = time.monotonic()
-    cases = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)]
-
-    def run(case):
-        n, k = case
-        image = delta_e(n, k).omega()
-        for lam in partitions_of(n):
-            combinatorial = ssyt_polynomial(lam, k)
-            via_oracle = hall_inner(
-                image, SymFuncExpr.basis_element("s", lam)
-            )
-            if TRat(combinatorial) != via_oracle:
-                return {"n": n, "k": k, "partition": lam.to_json(),
-                        "ssyt_side": combinatorial.to_json(),
-                        "oracle_side": via_oracle.to_json()}
-            if any(c < 0 for c in combinatorial.coeffs):
-                return {"n": n, "k": k, "partition": lam.to_json(),
-                        "reason": "negative coefficient"}
-        return None
-
-    return _report("schur", {"n_max": n_max}, cases, run, started)
+    n, k = case
+    image = delta_e(n, k).omega()
+    for lam in partitions_of(n):
+        combinatorial = ssyt_polynomial(lam, k)
+        via_oracle = hall_inner(image, SymFuncExpr.basis_element("s", lam))
+        if TRat(combinatorial) != via_oracle:
+            return {"n": n, "k": k, "partition": lam.to_json(),
+                    "ssyt_side": combinatorial.to_json(),
+                    "oracle_side": via_oracle.to_json()}
+        if any(c < 0 for c in combinatorial.coeffs):
+            return {"n": n, "k": k, "partition": lam.to_json(),
+                    "reason": "negative coefficient"}
+    return None
 
 
-def check_haglund(n_max=5):
+def _haglund_cases(n_max):
+    return [(n, k, lam) for n, k in _nk_cases(n_max) for lam in partitions_of(n)]
+
+
+def _haglund(case, run):
     """The duality between pairing with a forgotten element and applying the
     Delta operator for its omega image, across all degrees and k."""
-    started = time.monotonic()
-    cases = [
-        (n, k, lam)
-        for n in range(1, n_max + 1)
-        for k in range(1, n + 1)
-        for lam in partitions_of(n)
-    ]
-
-    def run(case):
-        n, k, lam = case
-        fexpr = SymFuncExpr.basis_element("f", lam)
-        if not haglund_check(n, k, fexpr):
-            return {"n": n, "k": k, "partition": lam.to_json(),
-                    "reason": "identity fails"}
-        return None
-
-    return _report("haglund", {"n_max": n_max}, cases, run, started)
+    n, k, lam = case
+    if not haglund_check(n, k, SymFuncExpr.basis_element("f", lam)):
+        return {"n": n, "k": k, "partition": lam.to_json(),
+                "reason": "identity fails"}
+    return None
 
 
-_RUNNERS = {
-    "eq1": check_eq1,
-    "eq2": check_eq2,
-    "bijection": check_bijection,
-    "involution": check_involution,
-    "hilbert": check_hilbert,
-    "schur": check_schur,
-    "haglund": check_haglund,
+class Suite(NamedTuple):
+    options: dict
+    cases: Callable
+    check: Callable
+    n_ceiling: int = degree_bound()
+
+
+SUITES = {
+    "eq1": Suite({"n_max": 6}, _nk_cases, _eq1),
+    "eq2": Suite({"n_max": 7}, _nk_cases, _eq2),
+    "bijection": Suite({"n_max": 7}, _nk_cases, _bijection),
+    "involution": Suite(
+        {"n_max": 5, "k_max": 3, "degree_max": 8, "audit": None},
+        _involution_cases, _involution),
+    "hilbert": Suite({"n_max": 5}, _nk_cases, _hilbert),
+    "schur": Suite({"n_max": 5}, _nk_cases, _schur),
+    # at k = n the dual side applies the Delta operator to e_{n+1}
+    "haglund": Suite({"n_max": 5}, _haglund_cases, _haglund,
+                     degree_bound() - 1),
 }
-SUITES = tuple(_RUNNERS)
-
-
-def suite_options(name):
-    """The options a suite reads, each with its default, in order.  Every
-    parameter of a check_* function has a default; reading them off the
-    code object spares the CLI start-up the import of ``inspect``."""
-    code = _RUNNERS[name].__code__
-    names = code.co_varnames[: code.co_argcount]
-    return dict(zip(names, _RUNNERS[name].__defaults__))
 
 
 def run_suite(name, **options):
-    if name not in _RUNNERS:
+    """The report of suite ``name``; an option not given takes its default.
+    ``audit`` is not a parameter: it adds the pairings of one degree."""
+    if name not in SUITES:
         raise ValueError("unknown suite %r" % (name,))
-    return _RUNNERS[name](**options)
+    suite = SUITES[name]
+    started = time.monotonic()
+    options = {**suite.options, **options}
+    cases = suite.cases(**options)
+    audit = options.pop("audit", None)
+    run = {}
+    failure = next(filter(None, (suite.check(case, run) for case in cases)),
+                   None)
+    report = {
+        "identity": name,
+        "parameters": options,
+        "cases": len(cases),
+        "status": "fail" if failure else "pass" if cases else "empty",
+    }
+    if failure:
+        report["counterexample"] = failure
+    report["duration_seconds"] = round(time.monotonic() - started, 3)
+    if audit is not None:
+        report["audit"] = {"degree": audit, "pairings": run.get("pairings", [])}
+    return report

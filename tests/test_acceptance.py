@@ -23,11 +23,7 @@ from deltaq1.partitions import partitions_of
 from deltaq1.specialize import forgotten_coefficient_series
 from deltaq1.symfunc import SymFuncExpr, hall_inner
 from deltaq1.tarith import TPoly, TRat, TSeries
-from deltaq1.verify import (
-    check_bijection,
-    check_eq2,
-    check_involution,
-)
+from deltaq1.verify import run_suite
 
 
 def _conclude(label, ok):
@@ -55,14 +51,14 @@ def test_criterion_1_main_expansion():
 def test_criterion_2_path_side():
     """Eq (2): M-polynomials equal area-weighted decoration sums over Dyck
     paths for all n <= 7, all k, all run partitions."""
-    report = check_eq2(n_max=7)
+    report = run_suite("eq2", n_max=7)
     _conclude("2 (Eq. (2), n <= 7)", report["status"] == "pass")
 
 
 def test_criterion_3_bijection():
     """The bijection and its inverse are mutually inverse with the weight
     transported, for n <= 7, and both worked examples reproduce exactly."""
-    report = check_bijection(n_max=7)
+    report = run_suite("bijection", n_max=7)
     ok = report["status"] == "pass"
 
     first = DecoratedDyckPath(DyckPath((0, 1, 2, 3, 2, 3, 4, 2, 1, 2)), [4, 6, 10])
@@ -81,7 +77,7 @@ def test_criterion_4_involution():
     """The sign-reversing involution: pairs preserve weight and flip sign,
     fixed points are the M-sequences, and signed degree counts equal the
     M-polynomial coefficients, for k+1 <= 4, lam of n <= 5, d <= 8."""
-    report = check_involution(n_max=5, k_max=3, degree_max=8)
+    report = run_suite("involution", n_max=5, k_max=3, degree_max=8)
     _conclude("4 (involution, k+1 <= 4, n <= 5, d <= 8)", report["status"] == "pass")
 
 

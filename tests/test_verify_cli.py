@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from deltaq1 import verify
 from deltaq1.cli import _MAX_DEGREE, _MAX_K, _MAX_ROWS, main
 from deltaq1.diagrams import ColumnStack, LabeledDiagram
+from deltaq1.oracle import haglund_check
+from deltaq1.symfunc import SymFuncExpr
 from deltaq1.tarith import TPoly
 from deltaq1.verify import run_suite
 
@@ -120,6 +122,12 @@ def test_usage_guards_cover_every_command(capsys):
     )
 
 
+def test_haglund_suite_stops_below_the_degree_bound(capsys):
+    # at k = n the dual side of the identity has degree n + 1
+    assert "n <= 9" in usage_error(capsys, "verify", "haglund", "--n-max", "10")
+    assert haglund_check(9, 9, SymFuncExpr.basis_element("f", [9]))
+
+
 def test_verify_rejects_unread_and_out_of_range_options(capsys):
     assert "eq2 does not read --k-max" in usage_error(
         capsys, "verify", "eq2", "--k-max", "3", "--degree-max", "2",
@@ -173,6 +181,61 @@ def test_verify_cli_timing_flag(capsys):
     )
     assert code == 0
     assert "duration_seconds" in json.loads(out)
+    code, out, _ = run_cli(
+        capsys, "verify", "involution", "--n-max", "2", "--audit", "1",
+        "--timing",
+    )
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "identity", "parameters", "cases", "status", "duration_seconds",
+        "audit",
+    ]
+
+
+# sha256 of the stdout of `verify <suite> --n-max 3`
+STDOUT_DIGESTS = {
+    "eq1": "cd00ca7438a17ee8ad0cc847e4e3ad8c26d7c5441d062198d6b20bc4631693a0",
+    "eq2": "e451d9448697e3945a438d1c6deb9790710ae755638db1f978ace3ac2b4d8ac2",
+    "bijection":
+        "8480df21f251ff352fe647f4b6f95c1b6a815c0c89cc97bf440e236403e0718f",
+    "involution":
+        "89b1ea8c5aa45587cffec26b20eedb20271dca25d274e0805a1769da6ddccbb5",
+    "hilbert":
+        "dd826cf301a77562a7f77549cf8652d8835a9acbef0bcfbb5faa578eae2ad6d2",
+    "schur": "a6ba37a1dba927c2df295695fadfdde01deadef1392d53429b93ec5fb0050f6d",
+    "haglund":
+        "8bb86752b38b0b76aaf101d34236c2f542f420ebf44c94e59a7e8fd26d8d3b16",
+}
+
+
+@pytest.mark.parametrize("suite", STDOUT_DIGESTS)
+def test_verify_suite_stdout_is_pinned(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", suite, "--n-max", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[suite]
+
+
+@pytest.mark.parametrize("suite, sides", [
+    ("eq1", {"msequence_side": {"num": ["2", "3", "2"], "den": ["1"]},
+             "oracle_side": {"num": ["2", "3", "1"], "den": ["1"]}}),
+    ("eq2", {"msequence_side": ["2", "3", "2"],
+             "path_side": ["2", "3", "1"]}),
+])
+def test_eq_suites_report_first_mismatching_partition(
+    capsys, monkeypatch, suite, sides
+):
+    real = verify.msequence_polynomial
+
+    def changed(lam, k):
+        poly = real(lam, k)
+        return poly + TPoly.t_power(2) if (lam, k) == ([2, 1], 2) else poly
+
+    monkeypatch.setattr(verify, "msequence_polynomial", changed)
+    code, out, _ = run_cli(capsys, "verify", suite, "--n-max", "3")
+    report = json.loads(out)
+    assert (code, report["status"], report["cases"]) == (1, "fail", 6)
+    assert report["counterexample"] == {"n": 3, "k": 2, "partition": [2, 1],
+                                        **sides}
 
 
 def test_verify_involution_audit(capsys):
