@@ -19,7 +19,7 @@ from .oracle import delta_e
 from .partitions import partitions_of
 from .symfunc import degree_bound
 from .tarith import TRat
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, usage_problem
 
 
 # The models compute L_k(g) = <omega F, g> for the Delta image F under the
@@ -91,10 +91,15 @@ def _cmd_expand(args):
     return exit_code
 
 
+def _verify_options(args):
+    """The verify options given on the command line."""
+    return {name: getattr(args, name)
+            for name in ("n_max", "k_max", "degree_max", "audit")
+            if getattr(args, name) is not None}
+
+
 def _cmd_verify(args):
-    options = {name: getattr(args, name) for name in SUITES[args.suite].options
-               if getattr(args, name) is not None}
-    report = run_suite(args.suite, **options)
+    report = run_suite(args.suite, **_verify_options(args))
     if not args.timing:
         report.pop("duration_seconds", None)
     print(json.dumps(report, indent=2))
@@ -114,34 +119,10 @@ def _read_object(raw):
 # rows: its budgets sum to the row count.
 _MAX_ROWS = 1000
 
-# The involution suite enumerates every labelled diagram of weight up to
-# --degree-max; their number grows 3-10x per step of k.  At the degree bound
-# (--n-max 10) on a 2-core VM, --k-max 3 --degree-max 8 (the defaults) takes
-# 36 s and --k-max 4 --degree-max 8 (both caps) 428 s.
-_MAX_K = 4
-_MAX_DEGREE = 8
-
-
 def _check_rows(rows):
     if rows > _MAX_ROWS:
         raise ValueError("a path may have at most %d rows, not %d"
                          % (_MAX_ROWS, rows))
-
-
-def _verify_usage(args):
-    """Why the verify options are unusable (an option the suite does not
-    read, or a value out of range), or None."""
-    reads = SUITES[args.suite].options
-    degree_max = (reads.get("degree_max") if args.degree_max is None
-                  else args.degree_max)
-    for name, low, high in (("k_max", 1, _MAX_K), ("audit", 0, degree_max),
-                            ("degree_max", 0, _MAX_DEGREE)):
-        value, flag = getattr(args, name), "--" + name.replace("_", "-")
-        if value is not None and name not in reads:
-            return "suite %s does not read %s" % (args.suite, flag)
-        if value is not None and not low <= value <= high:
-            return "need %d <= %s <= %d" % (low, flag, high)
-    return None
 
 
 def _cmd_phi(args):
@@ -270,16 +251,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    verify = args.command == "verify"
-    n = args.n_max if verify else getattr(args, "n", None)
-    bound = SUITES[args.suite].n_ceiling if verify else degree_bound()
-    if n is not None and n > bound:
-        parser.error("need n <= %d" % bound)
+    if getattr(args, "n", None) is not None and args.n > degree_bound():
+        parser.error("need n <= %d" % degree_bound())
     if getattr(args, "k", None) is not None and args.k > args.n:
         parser.error("need k <= n")
-    problem = _verify_usage(args) if verify else None
-    if problem:
-        parser.error(problem)
+    if args.command == "verify":
+        problem = usage_problem(args.suite, _verify_options(args))
+        if problem:
+            parser.error(problem)
     return args.func(args)
 
 

@@ -195,11 +195,14 @@ class DecoratedDyckPath:
     @classmethod
     def from_json(cls, data):
         """Read what to_json writes; an entry that is not an int (a float,
-        bool, string or null) raises TypeError."""
+        bool, string or null) raises TypeError, a repeated row ValueError
+        (the decorations are a set, so a repeat would be merged away)."""
         area, rows = data["area_seq"], data["decorated_rows"]
         bad = [x for x in [*area, *rows] if type(x) is not int]
         if bad:
             raise TypeError("entries must be integers, not %r" % (bad[0],))
+        if len(set(rows)) != len(rows):
+            raise ValueError("decorated rows must be distinct")
         return cls(DyckPath(area), rows)
 
 

@@ -21,7 +21,9 @@ The m-coefficients are counted here (``m_expansion``), not read from the
 ``symfunc`` tables, so the model route stays independent of the oracle.
 The object enumerators (``msequences``, ``osp_sequences``,
 ``ssyt_sequences``) list the same objects one by one for the bijection, the
-involution and the tests.
+involution and the tests.  ``MSequence`` is the one check of admissibility:
+an ordered set partition sequence is valid when its (a_i, |B_i|) are an
+M-sequence, and a tableau sequence when its (a_i, content_i) are.
 """
 
 from __future__ import annotations
@@ -34,19 +36,11 @@ from .tarith import TPoly
 
 
 def admissible_avectors(bvec):
-    """All (a_1, ..., a_m) with a_1 = 0 and a_{i+1} < a_i + b_i."""
-    out = []
-
-    def rec(prefix):
-        i = len(prefix)
-        if i == len(bvec):
-            out.append(tuple(prefix))
-            return
-        bound = prefix[-1] + bvec[i - 1]
-        for a in range(bound):
-            rec(prefix + [a])
-
-    rec([0])
+    """All (a_1, ..., a_m) with a_1 = 0 and a_{i+1} < a_i + b_i, in
+    lexicographic order."""
+    out = [(0,)]
+    for b in bvec[:-1]:
+        out = [v + (a,) for v in out for a in range(v[-1] + b)]
     return out
 
 
@@ -284,16 +278,12 @@ def msequence_polynomial(lam, k):
 
 class OSPSequence:
     """Pairs (a_i, B_i) where the B_i are disjoint subsets covering
-    {1..n} and a_1 = 0, a_{i+1} < a_i + |B_i|."""
+    {1..n} and the (a_i, |B_i|) are an M-sequence."""
 
     __slots__ = ("_pairs",)
 
     def __init__(self, pairs):
         pairs = tuple((int(a), frozenset(int(x) for x in block)) for a, block in pairs)
-        if not pairs:
-            raise ValueError("empty sequence")
-        if pairs[0][0] != 0:
-            raise ValueError("a_1 must be 0")
         seen = set()
         for _, block in pairs:
             if seen & block:
@@ -301,12 +291,7 @@ class OSPSequence:
             seen |= block
         if seen != set(range(1, len(seen) + 1)):
             raise ValueError("blocks must cover {1..n}")
-        for i in range(len(pairs) - 1):
-            a, block = pairs[i]
-            if not pairs[i + 1][0] < a + len(block):
-                raise ValueError(
-                    "a_%d violates the block-size inequality" % (i + 2)
-                )
+        MSequence((a, len(block)) for a, block in pairs)
         self._pairs = pairs
 
     @property
@@ -400,7 +385,7 @@ def tableau_content(tableau, max_entry):
 
 class SSYTSequence:
     """A semistandard tableau with entries bounded by k+1 together with an
-    admissible vector against its content counts."""
+    a-vector whose (a_i, content_i) are an M-sequence."""
 
     __slots__ = ("_tableau", "_avec")
 
@@ -419,12 +404,7 @@ class SSYTSequence:
                 raise ValueError("row lengths must weakly decrease")
             if any(tableau[r][c] <= tableau[r - 1][c] for c in range(len(tableau[r]))):
                 raise ValueError("columns must strictly increase")
-        content = tableau_content(tableau, k + 1)
-        if avec[0] != 0:
-            raise ValueError("a_1 must be 0")
-        for i in range(k):
-            if not avec[i + 1] < avec[i] + content[i]:
-                raise ValueError("a_%d violates the content inequality" % (i + 2))
+        MSequence(zip(avec, tableau_content(tableau, k + 1)))
         self._tableau, self._avec = tableau, avec
 
     @property

@@ -7,6 +7,8 @@ the largest n it can take.  ``run_suite`` checks the cases in order up to
 the first counterexample.  A suite with no cases reports "empty", never a
 vacuous "pass".  The checks of one run share ``run``, a dict of what later
 cases reuse: eq2's Dyck paths of one n, involution's walk of one (k, lam).
+``usage_problem`` is the one check of a suite's options, for ``run_suite``
+and the command line alike.
 """
 
 from __future__ import annotations
@@ -222,6 +224,14 @@ def _haglund(case, run):
     return None
 
 
+# The involution suite enumerates every labelled diagram of weight up to
+# degree_max; their number grows 3-10x per step of k.  At the degree bound
+# (n_max 10) on a 2-core VM, k_max 3, degree_max 8 (the defaults) takes 36 s
+# and k_max 4, degree_max 8 (both caps) 428 s.
+_MAX_K = 4
+_MAX_DEGREE = 8
+
+
 class Suite(NamedTuple):
     options: dict
     cases: Callable
@@ -244,11 +254,33 @@ SUITES = {
 }
 
 
+def usage_problem(name, options):
+    """Why ``options``, the options given to suite ``name``, are unusable
+    (n_max above the suite's ceiling, an option the suite does not read, or
+    a value out of range), or None.  Options are named by their flags."""
+    suite = SUITES[name]
+    if options.get("n_max", 0) > suite.n_ceiling:
+        return "need n <= %d" % suite.n_ceiling
+    degree_max = options.get("degree_max", suite.options.get("degree_max"))
+    for option, low, high in (("k_max", 1, _MAX_K), ("audit", 0, degree_max),
+                              ("degree_max", 0, _MAX_DEGREE)):
+        value, flag = options.get(option), "--" + option.replace("_", "-")
+        if value is not None and option not in suite.options:
+            return "suite %s does not read %s" % (name, flag)
+        if value is not None and not low <= value <= high:
+            return "need %d <= %s <= %d" % (low, flag, high)
+    return None
+
+
 def run_suite(name, **options):
     """The report of suite ``name``; an option not given takes its default.
-    ``audit`` is not a parameter: it adds the pairings of one degree."""
+    ``audit`` is not a parameter: it adds the pairings of one degree.
+    Unusable options (``usage_problem``) raise ValueError before any case."""
     if name not in SUITES:
         raise ValueError("unknown suite %r" % (name,))
+    problem = usage_problem(name, options)
+    if problem:
+        raise ValueError(problem)
     suite = SUITES[name]
     started = time.monotonic()
     options = {**suite.options, **options}

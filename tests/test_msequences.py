@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from operator import add
 
 import pytest
@@ -113,6 +114,13 @@ def test_osp_validation():
         OSPSequence([(0, {1}), (1, {3})])
     with pytest.raises(ValueError):
         OSPSequence([(0, {1, 2}), (2, set())])
+    # the a-vector is checked as an M-sequence, with its messages
+    with pytest.raises(ValueError, match="nonnegative"):
+        OSPSequence([(0, {1}), (-3, {2})])
+    with pytest.raises(ValueError, match=r"a_2 = 1 violates a_2 < a_1 \+ b_1 = 1"):
+        OSPSequence([(0, {1}), (1, {2})])
+    with pytest.raises(ValueError, match="a_1 = 1 violates a_1 = 0"):
+        OSPSequence([(1, {1})])
 
 
 def test_enumerated_osp_reject_upward_mutation():
@@ -170,8 +178,13 @@ def test_ssyt_validation():
         SSYTSequence(((2, 1),), (0, 0), 1)
     with pytest.raises(ValueError):
         SSYTSequence(((1, 1), (1,)), (0, 0), 1)
-    with pytest.raises(ValueError):
+    # the a-vector is checked as an M-sequence, with its messages
+    with pytest.raises(ValueError, match=r"a_2 = 1 violates a_2 < a_1 \+ b_1 = 1"):
         SSYTSequence(((1, 2),), (0, 1), 1)  # a_2 < c_1 = 1 fails
+    with pytest.raises(ValueError, match="nonnegative"):
+        SSYTSequence(((1, 2),), (0, -2), 1)
+    with pytest.raises(ValueError, match="a_1 = 1 violates a_1 = 0"):
+        SSYTSequence(((1,),), (1, 0), 1)
     for lam, k in (([1], 0), ([2], -1)):
         with pytest.raises(ValueError, match="k must be positive"):
             ssyt_polynomial(lam, k)
@@ -282,6 +295,17 @@ def test_json():
     assert MSequence.from_json(seq.to_json()) == seq
     osp = OSPSequence([(0, {2, 1}), (1, set())])
     assert osp.to_json() == {"pairs": [[0, [1, 2]], [1, []]]}
+
+
+def test_admissible_avectors_are_the_lexicographic_filter():
+    for length in range(1, 5):
+        for bvec in product(range(4), repeat=length):
+            brute = [
+                avec for avec in product(range(sum(bvec[:-1]) + 1), repeat=length)
+                if avec[0] == 0
+                and all(avec[i + 1] < avec[i] + bvec[i] for i in range(length - 1))
+            ]
+            assert admissible_avectors(bvec) == brute
 
 
 partitions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(Partition)

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaq1 import verify
-from deltaq1.cli import _MAX_DEGREE, _MAX_K, _MAX_ROWS, main
+from deltaq1.cli import _MAX_ROWS, main
 from deltaq1.diagrams import ColumnStack, LabeledDiagram
 from deltaq1.oracle import haglund_check
 from deltaq1.symfunc import SymFuncExpr
 from deltaq1.tarith import TPoly
-from deltaq1.verify import run_suite
+from deltaq1.verify import _MAX_DEGREE, _MAX_K, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +36,29 @@ def test_suite_without_cases_does_not_pass():
     report = run_suite("eq1", n_max=0)
     assert report["cases"] == 0
     assert report["status"] == "empty"
+
+
+@pytest.mark.parametrize("name, options, problem", [
+    ("eq1", {"n_max": 11}, "need n <= 10"),
+    ("hilbert", {"n_max": 11}, "need n <= 10"),
+    ("haglund", {"n_max": 10}, "need n <= 9"),
+    ("involution", {"n_max": 3, "k_max": 60, "degree_max": 3},
+     "need 1 <= --k-max <= %d" % _MAX_K),
+    # an audit above degree_max would report no pairings and pass
+    ("involution", {"n_max": 2, "degree_max": 2, "audit": 7},
+     "need 0 <= --audit <= 2"),
+])
+def test_run_suite_refuses_unusable_options_before_any_case(
+    monkeypatch, name, options, problem
+):
+    def no_case(*args):
+        raise AssertionError("a case ran")
+
+    for layer in ("delta_e", "diagrams_up_to", "haglund_check"):
+        monkeypatch.setattr(verify, layer, no_case)
+    with pytest.raises(ValueError) as exc:
+        run_suite(name, **options)
+    assert str(exc.value) == problem
 
 
 def test_unknown_suite_rejected():
@@ -344,6 +367,12 @@ def test_phi_rejects_bad_objects(capsys):
     code, _, err = run_cli(capsys, "phi-inverse", '{"pairs": [[1, 1]]}')
     assert code == 1
     assert "a_1" in err
+    # the decorations are a set: a repeated row would be merged away
+    code, out, err = run_cli(capsys, "phi", json.dumps(
+        {"area_seq": [0, 1, 2, 3, 2, 3, 4, 2, 1, 2],
+         "decorated_rows": [4, 4, 6, 10]}))
+    assert (code, out) == (1, "")
+    assert err == "invalid decorated path: decorated rows must be distinct\n"
     # int() would truncate 2.7 and read true and "2" as numbers, so the
     # command would report success on a different object
     for command, raw, bad in (
