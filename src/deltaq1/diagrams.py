@@ -10,6 +10,12 @@ Splitting a wide stack peels off its last column; combining undoes it.
 Scanning left to right for the first applicable move pairs every diagram
 of sign -1 with one of sign +1 except the all-width-1 diagrams whose
 columns satisfy the M-sequence inequalities.
+
+The public constructors ``ColumnStack(...)`` and ``LabeledDiagram(...)``
+check every rule above.  ``diagrams_up_to``, ``split`` and ``combine`` build
+their objects through the unchecked ``_of``, since they make them valid by
+construction; ``test_diagrams`` rebuilds what they make through the
+checking constructors.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .partitions import (
     padded_rearrangements,
     partitions_of,
 )
+from .tarith import TSeries, partitions_bounded_series
 
 
 class ColumnStack:
@@ -43,6 +50,14 @@ class ColumnStack:
         if above and above[0] > row_len:
             raise ValueError("partition %r too wide for row of %d" % (above, row_len))
         self._row_len, self._above, self._labels = row_len, above, labels
+
+    @classmethod
+    def _of(cls, row_len, above, labels):
+        """Unchecked: ``above`` a Partition, ``labels`` a tuple of ints, and
+        together a valid stack."""
+        stack = object.__new__(cls)
+        stack._row_len, stack._above, stack._labels = row_len, above, labels
+        return stack
 
     @property
     def row_len(self):
@@ -114,6 +129,14 @@ class LabeledDiagram:
             )
         self._stacks, self._lam = stacks, lam
 
+    @classmethod
+    def _of(cls, stacks, lam):
+        """Unchecked: ``stacks`` a tuple of stacks, ``lam`` a Partition, and
+        together a valid diagram."""
+        diagram = object.__new__(cls)
+        diagram._stacks, diagram._lam = stacks, lam
+        return diagram
+
     @property
     def stacks(self):
         return self._stacks
@@ -180,10 +203,10 @@ def split(diagram, i):
     r = st.row_len
     column_height = st.above.multiplicity(r)
     c = st.labels[-1]
-    head = ColumnStack(1, [1] * column_height, (c,))
+    head = ColumnStack._of(1, Partition([1] * column_height), (c,))
     rest_parts = [p - 1 if p == r else p for p in st.above] + [r - 1] * c
-    tail = ColumnStack(r - 1, rest_parts, st.labels[:-1])
-    return LabeledDiagram(
+    tail = ColumnStack._of(r - 1, Partition(rest_parts), st.labels[:-1])
+    return LabeledDiagram._of(
         stacks[:i] + (head, tail) + stacks[i + 1 :], diagram.lam
     )
 
@@ -210,8 +233,8 @@ def combine(diagram, i):
             merged.append(p)
     if promoted != height:
         raise AssertionError("combine lost column rows")
-    big = ColumnStack(r + 1, merged, nxt.labels + (c,))
-    return LabeledDiagram(stacks[:i] + (big,) + stacks[i + 2 :], diagram.lam)
+    big = ColumnStack._of(r + 1, Partition(merged), nxt.labels + (c,))
+    return LabeledDiagram._of(stacks[:i] + (big,) + stacks[i + 2 :], diagram.lam)
 
 
 def involution(diagram):
@@ -245,7 +268,7 @@ def diagrams_up_to(k, lam, degree_max):
                 )
                 # by_size[i][s]: the stacks at position i whose partition has size s
                 by_size = [
-                    [[ColumnStack(rl, above, chunk)
+                    [[ColumnStack._of(rl, above, chunk)
                       for above in partitions_of(s, max_part=cap)]
                      for s in range(room + 1)]
                     for rl, chunk, cap in zip(arrangement, chunks, caps)
@@ -258,7 +281,34 @@ def diagrams_up_to(k, lam, degree_max):
                     choices = [column[b - a]
                                for column, a, b in zip(by_size, (0,) + cuts, cuts)]
                     for stacks in product(*choices):
-                        yield LabeledDiagram(stacks, lam)
+                        yield LabeledDiagram._of(stacks, lam)
+
+
+def diagram_count(k, lam, degree_max):
+    """The number of diagrams of (k, lam) of each weight 0..degree_max, from
+    the weight series, without building one: per ordering of the row
+    lengths, the sum over label placements of t^(label contribution) times
+    one series of bounded partitions per stack, the first stack's parts at
+    most one less than its row."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    if len(lam) > k + 1 or degree_max < 0:
+        return (0,) * (degree_max + 1)
+    placements = padded_rearrangements(lam, k + 1)
+    counts = TSeries.zero(degree_max)
+    for mu in partitions_of(k + 1):
+        for rows in distinct_orderings(mu.parts):
+            positions = [j for row_len in rows for j in range(row_len)]
+            by_contribution = [0] * (degree_max + 1)
+            for flat in placements:
+                contribution = sum(j * v for j, v in zip(positions, flat))
+                if contribution <= degree_max:
+                    by_contribution[contribution] += 1
+            term = TSeries(by_contribution, degree_max)
+            for i, row_len in enumerate(rows):
+                term = term * partitions_bounded_series(
+                    row_len - (i == 0), degree_max)
+            counts = counts + term
+    return counts.coeffs
 
 
 def diagrams_of_weight(k, lam, d):

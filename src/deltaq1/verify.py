@@ -14,10 +14,16 @@ and the command line alike.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from .bijection import decorated_to_msequence, msequence_to_decorated
-from .diagrams import diagrams_up_to, fixed_to_msequence, involution
+from .diagrams import (
+    diagram_count,
+    diagrams_up_to,
+    fixed_to_msequence,
+    involution,
+)
 from .dyck import enumerate_decorated, enumerate_paths, decoration_weight
 from .msequences import (
     msequence_polynomial,
@@ -110,16 +116,30 @@ def _involution_verdicts(n, k, lam, degree_max, audit):
     """The counterexample of each slice (n, k, lam, d), d <= degree_max, or
     None, from one pass over the diagrams of (k, lam) that checks each as it
     goes past.  Also the pairings of weight ``audit`` met before that
-    weight's first failing diagram."""
+    weight's first failing diagram.
+
+    Each pair is checked once.  The pair laws (equal weight, opposite sign,
+    each the other's image) read the same from either side, so a diagram
+    that passes leaves its partner in ``mates``, and when the walk reaches
+    that partner it adds its sign and its pairing without another
+    ``involution`` call.  Verdicts, the first failure of each weight and the
+    pairing order are those of checking every diagram in full."""
     signed = [0] * (degree_max + 1)
     fixed = [[] for _ in signed]
     verdicts = [None] * len(signed)
     pairings = []
+    mates = {}  # partner -> the diagram that passed with it, not yet met
     for diagram in diagrams_up_to(k, lam, degree_max):
         w = diagram.weight()
+        mate = mates.pop(diagram, None)
         if verdicts[w]:
             continue
         signed[w] += diagram.sign()
+        if mate is not None:
+            if w == audit:
+                pairings.append({"diagram": diagram.to_json(),
+                                 "partner": mate.to_json()})
+            continue
         partner = involution(diagram)
         reason = None
         if partner is None:
@@ -133,9 +153,11 @@ def _involution_verdicts(n, k, lam, degree_max, audit):
             reason = "sign not reversed"
         elif involution(partner) != diagram:
             reason = "not an involution"
-        elif w == audit:
-            pairings.append({"diagram": diagram.to_json(),
-                             "partner": partner.to_json()})
+        else:
+            mates[partner] = diagram
+            if w == audit:
+                pairings.append({"diagram": diagram.to_json(),
+                                 "partner": partner.to_json()})
         if reason:
             verdicts[w] = {"case": [n, k, lam.to_json(), w], "reason": reason,
                            "object": diagram.to_json()}
@@ -224,12 +246,27 @@ def _haglund(case, run):
     return None
 
 
-# The involution suite enumerates every labelled diagram of weight up to
-# degree_max; their number grows 3-10x per step of k.  At the degree bound
-# (n_max 10) on a 2-core VM, k_max 3, degree_max 8 (the defaults) takes 36 s
-# and k_max 4, degree_max 8 (both caps) 428 s.
+# The involution suite walks every labelled diagram of weight up to
+# degree_max; their number grows 3-10x per step of k, and each costs about
+# 25-40 us on a 2-core VM.  There n_max 10, k_max 3, degree_max 8 (472,682
+# diagrams) takes 17 s and n_max 5, k_max 4, degree_max 8 (684,633) 26 s.
+# A run is refused when its diagrams number more than _MAX_DIAGRAMS, about
+# 40 s there: n_max 10, k_max 4, degree_max 8 (5,910,597 diagrams; 428 s
+# before pairs were checked once) is refused at once.  The caps on k_max and
+# degree_max stay, so no option alone asks for an unbounded count.
 _MAX_K = 4
 _MAX_DEGREE = 8
+_MAX_DIAGRAMS = 1_000_000
+
+
+def _involution_too_large(n_max, k_max, degree_max):
+    """Whether the walks of an involution run hold more than _MAX_DIAGRAMS
+    diagrams; the count stops at the first (k, lam) past it."""
+    sizes = (sum(diagram_count(k, lam, degree_max))
+             for n in range(1, n_max + 1)
+             for k in range(1, k_max + 1)
+             for lam in partitions_of(n))
+    return any(total > _MAX_DIAGRAMS for total in accumulate(sizes))
 
 
 class Suite(NamedTuple):
@@ -256,8 +293,9 @@ SUITES = {
 
 def usage_problem(name, options):
     """Why ``options``, the options given to suite ``name``, are unusable
-    (n_max above the suite's ceiling, an option the suite does not read, or
-    a value out of range), or None.  Options are named by their flags."""
+    (n_max above the suite's ceiling, an option the suite does not read, a
+    value out of range, or an involution run over too many diagrams), or
+    None.  Options are named by their flags."""
     suite = SUITES[name]
     if options.get("n_max", 0) > suite.n_ceiling:
         return "need n <= %d" % suite.n_ceiling
@@ -269,6 +307,12 @@ def usage_problem(name, options):
             return "suite %s does not read %s" % (name, flag)
         if value is not None and not low <= value <= high:
             return "need %d <= %s <= %d" % (low, flag, high)
+    if name == "involution":
+        options = {**suite.options, **options}
+        if _involution_too_large(options["n_max"], options["k_max"],
+                                 options["degree_max"]):
+            return ("need at most %d diagrams; lower --n-max, --k-max or "
+                    "--degree-max" % _MAX_DIAGRAMS)
     return None
 
 

@@ -1,5 +1,4 @@
 from collections import Counter
-from itertools import permutations
 
 import pytest
 
@@ -8,6 +7,7 @@ from deltaq1.diagrams import (
     LabeledDiagram,
     can_combine,
     combine,
+    diagram_count,
     diagrams_of_weight,
     diagrams_up_to,
     fixed_to_msequence,
@@ -16,7 +16,6 @@ from deltaq1.diagrams import (
 )
 from deltaq1.msequences import msequence_polynomial, msequences
 from deltaq1.partitions import Partition, partitions_of
-from deltaq1.tarith import TPoly, TSeries, partitions_bounded_series
 
 
 def test_stack_weight_without_labels():
@@ -205,43 +204,47 @@ def test_noncombinability_survives_later_merge():
 
 
 def test_diagrams_up_to_counts_match_the_weight_series():
-    # the weight series, independent of the enumerator: per ordering of the
-    # row lengths and placement of the labels, t^(label contribution) times
-    # one series of bounded partitions per stack, the first stack's bounded
-    # by one less than its row
+    # (2, 2, 2): rows (2) over partitions with parts <= 1, and rows (1, 1)
+    # over the empty first stack and a second with parts <= 1
+    assert diagram_count(1, [], 2) == (2, 2, 2)
+    assert diagram_count(1, [1, 1, 1], 2) == (0, 0, 0)
     for k in (1, 2, 3):
         for n in range(5):
             for lam in partitions_of(n):
-                padded = lam.parts + (0,) * (k + 1 - len(lam))
-                placements = set(permutations(padded)) if len(lam) <= k + 1 else ()
                 for cap in range(7):
-                    series = TSeries.zero(cap)
-                    for mu in partitions_of(k + 1):
-                        for rows in set(permutations(mu.parts)):
-                            for flat in placements:
-                                term = TSeries.from_poly(
-                                    TPoly.t_power(_label_contribution(rows, flat)),
-                                    cap,
-                                )
-                                for i, row_len in enumerate(rows):
-                                    term = term * partitions_bounded_series(
-                                        row_len - (i == 0), cap
-                                    )
-                                series = series + term
                     seen = list(diagrams_up_to(k, lam, cap))
                     assert len(set(seen)) == len(seen)
                     weights = Counter(x.weight() for x in seen)
                     assert all(w <= cap for w in weights)
-                    assert tuple(weights[w] for w in range(cap + 1)) == series.coeffs
+                    assert tuple(weights[w] for w in range(cap + 1)) == (
+                        diagram_count(k, lam, cap)
+                    )
 
 
-def _label_contribution(rows, flat):
-    """Each label times its cell's position in its row."""
-    total, start = 0, 0
-    for row_len in rows:
-        total += sum(j * v for j, v in enumerate(flat[start : start + row_len]))
-        start += row_len
-    return total
+def _rebuilt(diagram):
+    """The diagram built again through the validating constructors."""
+    return LabeledDiagram(
+        [ColumnStack(st.row_len, list(st.above), list(st.labels))
+         for st in diagram.stacks],
+        list(diagram.lam),
+    )
+
+
+def test_unchecked_diagrams_are_valid():
+    # the enumerator and split/combine skip validation; every object they
+    # build passes it and rebuilds to an equal object with an equal hash (a
+    # list where a Partition or tuple belongs would compare equal but hash
+    # differently or not at all).  Cap 6 yields the diagrams of every
+    # smaller cap too.
+    for k in (1, 2, 3):
+        for n in range(5):
+            for lam in partitions_of(n):
+                for diagram in diagrams_up_to(k, lam, 6):
+                    for built in (diagram, involution(diagram)):
+                        if built is not None:
+                            again = _rebuilt(built)
+                            assert again == built
+                            assert hash(again) == hash(built)
 
 
 def test_diagrams_of_weight_edge_cases():

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from deltaq1 import verify
 from deltaq1.cli import _MAX_ROWS, main
-from deltaq1.diagrams import ColumnStack, LabeledDiagram
+from deltaq1.diagrams import ColumnStack, LabeledDiagram, diagrams_up_to
 from deltaq1.oracle import haglund_check
+from deltaq1.partitions import partitions_of
 from deltaq1.symfunc import SymFuncExpr
 from deltaq1.tarith import TPoly
-from deltaq1.verify import _MAX_DEGREE, _MAX_K, run_suite
+from deltaq1.verify import _MAX_DEGREE, _MAX_DIAGRAMS, _MAX_K, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +48,10 @@ def test_suite_without_cases_does_not_pass():
     # an audit above degree_max would report no pairings and pass
     ("involution", {"n_max": 2, "degree_max": 2, "audit": 7},
      "need 0 <= --audit <= 2"),
+    # each cap alone is in range; together they ask for 5,910,597 diagrams
+    ("involution", {"n_max": 10, "k_max": 4, "degree_max": 8},
+     "need at most %d diagrams; lower --n-max, --k-max or --degree-max"
+     % _MAX_DIAGRAMS),
 ])
 def test_run_suite_refuses_unusable_options_before_any_case(
     monkeypatch, name, options, problem
@@ -172,6 +177,28 @@ def test_verify_rejects_unread_and_out_of_range_options(capsys):
     assert "--audit <= 2" in usage_error(
         capsys, "verify", "involution", "--audit", "7", "--degree-max", "2"
     )
+    # each cap alone is in range; together they ask for too many diagrams
+    assert "need at most %d diagrams" % _MAX_DIAGRAMS in usage_error(
+        capsys, "verify", "involution", "--n-max", "10", "--k-max", "4"
+    )
+
+
+def test_involution_suite_calls_involution_once_per_diagram(monkeypatch):
+    # a diagram that passes with its partner checks the partner too, so the
+    # walk calls involution twice per pair and once per fixed point
+    real, calls = verify.involution, []
+
+    def counted(diagram):
+        calls.append(diagram)
+        return real(diagram)
+
+    monkeypatch.setattr(verify, "involution", counted)
+    report = run_suite("involution", n_max=3, k_max=2, degree_max=4)
+    assert report["status"] == "pass"
+    walked = sum(len(list(diagrams_up_to(k, lam, 4)))
+                 for n in range(1, 4) for k in (1, 2)
+                 for lam in partitions_of(n))
+    assert len(calls) == walked
 
 
 def test_verify_reports_suite_defaults_in_order(capsys):
