@@ -19,7 +19,7 @@ from .oracle import delta_e
 from .partitions import partitions_of
 from .symfunc import degree_bound
 from .tarith import TRat
-from .verify import SUITES, run_suite, usage_problem
+from .verify import SUITES, _UsageError, run_suite
 
 
 # The models compute L_k(g) = <omega F, g> for the Delta image F under the
@@ -255,11 +255,10 @@ def main(argv=None):
         parser.error("need n <= %d" % degree_bound())
     if getattr(args, "k", None) is not None and args.k > args.n:
         parser.error("need k <= n")
-    if args.command == "verify":
-        problem = usage_problem(args.suite, _verify_options(args))
-        if problem:
-            parser.error(problem)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as err:  # raised by run_suite before any case
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

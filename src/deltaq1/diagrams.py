@@ -6,6 +6,10 @@ drawn above it.  The multiset of row lengths rearranges a partition of
 k+1; the nonzero labels place the parts of a global partition lam, one per
 cell.  The first stack's partition must fit strictly inside its row.
 
+The diagrams of (k, lam) of each weight are counted by the terms of the
+formal series of ``specialize`` with their signs undone; the involution
+cancels the signed series down to the M-polynomial.
+
 Splitting a wide stack peels off its last column; combining undoes it.
 Scanning left to right for the first applicable move pairs every diagram
 of sign -1 with one of sign +1 except the all-width-1 diagrams whose
@@ -29,7 +33,8 @@ from .partitions import (
     padded_rearrangements,
     partitions_of,
 )
-from .tarith import TSeries, partitions_bounded_series
+from .specialize import hf_term_series, monomial_eval
+from .tarith import TSeries
 
 
 class ColumnStack:
@@ -285,29 +290,16 @@ def diagrams_up_to(k, lam, degree_max):
 
 
 def diagram_count(k, lam, degree_max):
-    """The number of diagrams of (k, lam) of each weight 0..degree_max, from
-    the weight series, without building one: per ordering of the row
-    lengths, the sum over label placements of t^(label contribution) times
-    one series of bounded partitions per stack, the first stack's parts at
-    most one less than its row."""
+    """The number of diagrams of (k, lam) of each weight 0..degree_max,
+    without building one: the terms of ``forgotten_coefficient_series``,
+    hf_term_series(mu) * monomial_eval(lam, mu), with their signs undone."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if len(lam) > k + 1 or degree_max < 0:
         return (0,) * (degree_max + 1)
-    placements = padded_rearrangements(lam, k + 1)
     counts = TSeries.zero(degree_max)
     for mu in partitions_of(k + 1):
-        for rows in distinct_orderings(mu.parts):
-            positions = [j for row_len in rows for j in range(row_len)]
-            by_contribution = [0] * (degree_max + 1)
-            for flat in placements:
-                contribution = sum(j * v for j, v in zip(positions, flat))
-                if contribution <= degree_max:
-                    by_contribution[contribution] += 1
-            term = TSeries(by_contribution, degree_max)
-            for i, row_len in enumerate(rows):
-                term = term * partitions_bounded_series(
-                    row_len - (i == 0), degree_max)
-            counts = counts + term
+        counts = counts + hf_term_series(mu, k + 1, degree_max) * (
+            monomial_eval(lam, mu) * (-1) ** (k + 1 - len(mu)))
     return counts.coeffs
 
 

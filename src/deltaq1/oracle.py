@@ -13,7 +13,7 @@ entirely at q=1.
 from __future__ import annotations
 
 from .partitions import Partition, partitions_of
-from .specialize import forgotten_at_one_minus_t
+from .specialize import _staircase_monomials, forgotten_at_one_minus_t
 from .symfunc import (
     SymFuncExpr,
     degree_bound,
@@ -21,11 +21,6 @@ from .symfunc import (
     plethysm_geometric,
 )
 from .tarith import ONE, TPoly, RAT_ZERO, t_pochhammer
-
-
-def _staircase_monomials(mu):
-    """The alphabet of mu as a list of t-powers: 0..mu_i-1 per part."""
-    return [j for part in mu for j in range(part)]
 
 
 def elementary_eigenvalue(mu, k):

@@ -218,10 +218,12 @@ def _schur(case, run):
     """Tableau-sequence polynomials against the oracle Schur coefficients,
     including nonnegativity of every coefficient."""
     n, k = case
-    image = delta_e(n, k).omega()
+    # s is self-dual and omega maps s_lam to s_lam', so <omega F, s_lam> is
+    # the coefficient of s_lam' in F, all read off one conversion
+    image = delta_e(n, k).convert("s")
     for lam in partitions_of(n):
         combinatorial = ssyt_polynomial(lam, k)
-        via_oracle = hall_inner(image, SymFuncExpr.basis_element("s", lam))
+        via_oracle = image.coeff(lam.conjugate())
         if TRat(combinatorial) != via_oracle:
             return {"n": n, "k": k, "partition": lam.to_json(),
                     "ssyt_side": combinatorial.to_json(),
@@ -316,6 +318,10 @@ def usage_problem(name, options):
     return None
 
 
+class _UsageError(ValueError):
+    """Options that ``usage_problem`` refuses: a usage error on the CLI."""
+
+
 def run_suite(name, **options):
     """The report of suite ``name``; an option not given takes its default.
     ``audit`` is not a parameter: it adds the pairings of one degree.
@@ -324,7 +330,7 @@ def run_suite(name, **options):
         raise ValueError("unknown suite %r" % (name,))
     problem = usage_problem(name, options)
     if problem:
-        raise ValueError(problem)
+        raise _UsageError(problem)
     suite = SUITES[name]
     started = time.monotonic()
     options = {**suite.options, **options}

@@ -1,5 +1,6 @@
 import pytest
 
+from deltaq1.msequences import msequence_polynomial
 from deltaq1.partitions import Partition, partitions_of
 from deltaq1.specialize import (
     forgotten_at_one,
@@ -9,7 +10,7 @@ from deltaq1.specialize import (
     monomial_eval,
 )
 from deltaq1.symfunc import SymFuncExpr, hall_inner
-from deltaq1.tarith import ONE, TPoly, TRat, TSeries
+from deltaq1.tarith import ONE, TPoly, TRat, TSeries, partitions_bounded_series
 
 
 def _times_one_minus_t_alphabet(expr):
@@ -80,13 +81,21 @@ def test_hf_term_series_examples():
     assert hf_term_series(Partition([2]), 2, 3) == TSeries.from_poly(
         TPoly([-1, -1, -1, -1]), 3
     )
+    # the empty product times f_()[1-t] = 1
+    assert hf_term_series(Partition([]), 0, 2) == TSeries.one(2)
 
 
 def test_hf_term_series_double_route():
-    # the constructor itself asserts product form == removal-sum form
+    # the removal sum against the product form: one bounded-partition
+    # series per part of mu, times the closed form of f_mu[1-t]
     for m in range(1, 8):
         for mu in partitions_of(m):
-            hf_term_series(mu, m, 30)
+            product = TSeries.one(30)
+            for part in mu:
+                product = product * partitions_bounded_series(part, 30)
+            assert hf_term_series(mu, m, 30) == (
+                product * forgotten_at_one_minus_t(mu, m)
+            ), mu
 
 
 @pytest.mark.parametrize(
@@ -137,6 +146,18 @@ def test_forgotten_coefficient_polynomiality():
                 series = forgotten_coefficient_series(lam, k, bound + 5)
                 for d in range(bound + 1, bound + 6):
                     assert series.coeff(d) == 0
+
+
+def test_forgotten_coefficient_series_is_the_msequence_polynomial():
+    # the signed diagram series against the M-polynomial, with no oracle:
+    # both are the e_lam coefficient of the Delta image
+    for n in range(1, 7):
+        order = n * (n - 1) // 2
+        for k in range(1, n + 1):
+            for lam in partitions_of(n):
+                assert forgotten_coefficient_series(lam, k, order) == (
+                    TSeries.from_poly(msequence_polynomial(lam, k), order)
+                ), (lam, k)
 
 
 def test_forgotten_coefficient_range_checks():

@@ -150,6 +150,20 @@ def test_usage_guards_cover_every_command(capsys):
     )
 
 
+def test_verify_checks_its_options_once(capsys, monkeypatch):
+    # the option check counts the involution's diagrams, so it runs once per
+    # command, inside run_suite
+    real, calls = verify._involution_too_large, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_involution_too_large", counted)
+    code, _, _ = run_cli(capsys, "verify", "involution", "--n-max", "2")
+    assert (code, calls) == (0, [(2, 3, 8)])
+
+
 def test_haglund_suite_stops_below_the_degree_bound(capsys):
     # at k = n the dual side of the identity has degree n + 1
     assert "n <= 9" in usage_error(capsys, "verify", "haglund", "--n-max", "10")
