@@ -18,10 +18,7 @@ from .tarith import (
     TPoly,
     TRat,
     TSeries,
-    partitions_bounded_rat,
     partitions_bounded_series,
-    t_analog,
-    t_pochhammer,
 )
 from .symfunc import (
     BASES,
@@ -73,9 +70,7 @@ from .oracle import (
     delta_e,
     delta_general,
     elementary_eigenvalue,
-    geometric_h_expansion,
     haglund_check,
-    macdonald_q1,
 )
 from .verify import run_suite
 

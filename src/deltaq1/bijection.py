@@ -74,8 +74,9 @@ def msequence_to_decorated(seq):
     """Rebuild the unique decorated path mapping to the given M-sequence.
 
     Accepts an MSequence or a raw pair list (which is validated first).
-    Raises ValueError on any malformed input, reporting the first violated
-    inequality.
+    Raises TypeError on an entry that is not an int (a float, bool, string
+    or None; nothing is truncated), and ValueError on any other malformed
+    input, reporting the first violated inequality.
     """
     if not isinstance(seq, MSequence):
         seq = MSequence(seq)

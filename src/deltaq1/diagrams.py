@@ -150,10 +150,6 @@ class LabeledDiagram:
     def lam(self):
         return self._lam
 
-    def mu(self):
-        """The partition rearranged by the row lengths."""
-        return Partition(st.row_len for st in self._stacks)
-
     @property
     def m(self):
         return sum(st.row_len for st in self._stacks)
@@ -298,7 +294,7 @@ def diagram_count(k, lam, degree_max):
         return (0,) * (degree_max + 1)
     counts = TSeries.zero(degree_max)
     for mu in partitions_of(k + 1):
-        counts = counts + hf_term_series(mu, k + 1, degree_max) * (
+        counts = counts + hf_term_series(mu, degree_max) * (
             monomial_eval(lam, mu) * (-1) ** (k + 1 - len(mu)))
     return counts.coeffs
 

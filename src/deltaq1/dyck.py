@@ -1,8 +1,9 @@
 """Dyck paths, area sequences, vertical runs, and decorated paths.
 
-A path is canonically its area sequence; the North/East step word and the
-lattice vertices are derived views.  Decorations mark rows whose area is
-discounted, plus optionally the origin.
+A path is its area sequence.  Decorations mark rows whose area is
+discounted, plus optionally the origin.  The constructors take integers
+only: an entry that is not an int (a float, bool, string or None) raises
+TypeError rather than being truncated.
 """
 
 from __future__ import annotations
@@ -13,6 +14,16 @@ from .partitions import Partition
 from .tarith import TPoly
 
 
+def _int_entries(values):
+    """The values as a tuple; TypeError names the first one that is not an
+    int (a bool is not)."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise TypeError("entries must be integers, not %r" % (x,))
+    return values
+
+
 class DyckPath:
     """Lattice path from (0,0) to (n,n) weakly above the diagonal, stored as
     the per-row area sequence (alpha_1, ..., alpha_n)."""
@@ -20,7 +31,7 @@ class DyckPath:
     __slots__ = ("_alpha",)
 
     def __init__(self, area_seq):
-        alpha = tuple(int(a) for a in area_seq)
+        alpha = _int_entries(area_seq)
         if not alpha:
             raise ValueError("empty area sequence")
         if alpha[0] != 0:
@@ -73,19 +84,6 @@ class DyckPath:
     def vertical_run_partition(self):
         """The partition of n formed by vertical segment lengths."""
         return Partition(length for _, length in self.runs())
-
-    def steps(self):
-        """Step word as a string of 'N' and 'E' characters."""
-        word = []
-        x = 0
-        for i, a in enumerate(self._alpha):
-            # Row i+1's North step sits at column (row index) - alpha.
-            col = i - a
-            word.extend("E" * (col - x))
-            word.append("N")
-            x = col
-        word.extend("E" * (self.n - x))
-        return "".join(word)
 
     def __eq__(self, other):
         if not isinstance(other, DyckPath):
@@ -151,7 +149,7 @@ class DecoratedDyckPath:
     __slots__ = ("_path", "_rows")
 
     def __init__(self, path, rows):
-        rows = frozenset(int(r) for r in rows)
+        rows = frozenset(_int_entries(rows))
         allowed = set(path.rises()) | {0}
         bad = rows - allowed
         if bad:
@@ -194,29 +192,21 @@ class DecoratedDyckPath:
 
     @classmethod
     def from_json(cls, data):
-        """Read what to_json writes; an entry that is not an int (a float,
-        bool, string or null) raises TypeError, a repeated row ValueError
-        (the decorations are a set, so a repeat would be merged away)."""
+        """Read what to_json writes; a repeated row raises ValueError (the
+        decorations are a set, so a repeat would be merged away)."""
         area, rows = data["area_seq"], data["decorated_rows"]
-        bad = [x for x in [*area, *rows] if type(x) is not int]
-        if bad:
-            raise TypeError("entries must be integers, not %r" % (bad[0],))
-        if len(set(rows)) != len(rows):
+        decorated = cls(DyckPath(area), rows)
+        if len(decorated.rows) != len(rows):
             raise ValueError("decorated rows must be distinct")
-        return cls(DyckPath(area), rows)
+        return decorated
 
 
-def enumerate_decorated(n, k, lam=None):
-    """All decorated paths with exactly n - k decorations, optionally
-    filtered by the vertical run partition."""
+def enumerate_decorated(n, k):
+    """All decorated paths with exactly n - k decorations."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if lam is not None and not isinstance(lam, Partition):
-        lam = Partition(lam)
     out = []
     for path in enumerate_paths(n):
-        if lam is not None and path.vertical_run_partition() != lam:
-            continue
         candidates = [0] + path.rises()
         for chosen in combinations(candidates, n - k):
             out.append(DecoratedDyckPath(path, chosen))

@@ -28,9 +28,10 @@ M-sequence, and a tableau sequence when its (a_i, content_i) are.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import factorial, prod
 
+from .dyck import _int_entries
 from .partitions import Partition, padded_rearrangements, partitions_of
 from .tarith import TPoly
 
@@ -184,13 +185,18 @@ def m_expansion(basis, lam, nvars):
 class MSequence:
     """A sequence of (a_i, b_i) pairs with a_1 = 0 and a_{i+1} < a_i + b_i.
 
-    Raises on the first violated inequality so callers can report it.
+    An entry that is not an int (a float, bool, string or None) raises
+    TypeError.  Otherwise raises on the first violated inequality so
+    callers can report it.
     """
 
     __slots__ = ("_pairs",)
 
     def __init__(self, pairs):
-        pairs = tuple((int(a), int(b)) for a, b in pairs)
+        pairs = tuple(map(tuple, pairs))
+        # every entry is checked before the shape of any pair
+        _int_entries(chain.from_iterable(pairs))
+        pairs = tuple((a, b) for a, b in pairs)
         if not pairs:
             raise ValueError("empty sequence")
         for a, b in pairs:
@@ -245,13 +251,7 @@ class MSequence:
 
     @classmethod
     def from_json(cls, data):
-        """Read what to_json writes; an entry that is not an int (a float,
-        bool, string or null) raises TypeError."""
-        pairs = data["pairs"]
-        bad = [x for pair in pairs for x in pair if type(x) is not int]
-        if bad:
-            raise TypeError("entries must be integers, not %r" % (bad[0],))
-        return cls(pairs)
+        return cls(data["pairs"])
 
 
 def msequences(lam, k):

@@ -1,26 +1,20 @@
 """Independent computation of the Delta operator image at q=1.
 
-At q=1 the modified Macdonald element indexed by mu is a product of
-pochhammer factors and the geometric plethysm X -> X/(1-t) of h_mu, and
-e_n = sum over mu of f_mu[1-t] * h_mu[X/(1-t)].  The Delta operator for f
-scales the mu-th piece by its eigenvalue f[B_mu], the plethystic evaluation
-of f at the t-staircase alphabet of mu.  The plethysm is linear, so the
-image is one map: the eigenvalues weight the h_mu coefficients f_mu[1-t],
-and the plethysm is applied once to that sum.  Everything is exact and
-entirely at q=1.
+At q=1, e_n = sum over mu |- n of f_mu[1-t] * h_mu[X/(1-t)], and each
+h_mu[X/(1-t)] is a scalar multiple of a modified Macdonald polynomial, so
+the Delta operator for f scales the mu-th piece by its eigenvalue f[B_mu],
+the plethystic evaluation of f at the t-staircase alphabet of mu.  The
+plethysm X -> X/(1-t) is linear, so the image is one map: the eigenvalues
+weight the h_mu coefficients f_mu[1-t], and the plethysm is applied once to
+that sum.  Everything is exact and entirely at q=1.
 """
 
 from __future__ import annotations
 
 from .partitions import Partition, partitions_of
 from .specialize import _staircase_monomials, forgotten_at_one_minus_t
-from .symfunc import (
-    SymFuncExpr,
-    degree_bound,
-    hall_inner,
-    plethysm_geometric,
-)
-from .tarith import ONE, TPoly, RAT_ZERO, t_pochhammer
+from .symfunc import SymFuncExpr, _check_degree, hall_inner, plethysm_geometric
+from .tarith import ONE, TPoly, RAT_ZERO
 
 
 def elementary_eigenvalue(mu, k):
@@ -60,34 +54,16 @@ def _power_sum_coeffs(powers, r):
     return out
 
 
-def macdonald_q1(mu):
-    """The modified Macdonald element at q=1, in the power sum basis."""
-    mu = mu if isinstance(mu, Partition) else Partition(mu)
-    conj = mu.conjugate()
-    scalar = ONE
-    for part in conj:
-        scalar = scalar * t_pochhammer(part)
-    expr = plethysm_geometric(SymFuncExpr.basis_element("h", conj))
-    return expr.scaled(scalar)
-
-
 def _geometric_image(n, eigenvalue):
     """Sum over mu |- n of eigenvalue(mu) * f_mu[1-t] * h_mu[X/(1-t)], in
-    power sums: the weighted h-basis sum, with the plethysm applied once."""
+    power sums: the weighted h-basis sum, with the plethysm applied once.
+    A degree over the bound is refused before any partition of n is met."""
+    _check_degree(n)
     weighted = SymFuncExpr(n, "h", {
-        mu: eigenvalue(mu) * forgotten_at_one_minus_t(mu, n)
+        mu: eigenvalue(mu) * forgotten_at_one_minus_t(mu)
         for mu in partitions_of(n)
     })
     return plethysm_geometric(weighted)
-
-
-def geometric_h_expansion(n):
-    """The coefficient map mu -> f_mu[1-t] expanding e_n over the geometric
-    plethysms of h_mu, verified by exact reconstruction of e_n."""
-    expected = SymFuncExpr.basis_element("e", Partition([n])).convert("p")
-    if _geometric_image(n, lambda mu: ONE) != expected:
-        raise AssertionError("reconstruction of e_%d failed" % n)
-    return {mu: forgotten_at_one_minus_t(mu, n) for mu in partitions_of(n)}
 
 
 def delta_e(n, k):
@@ -95,8 +71,6 @@ def delta_e(n, k):
     in the elementary basis with integer polynomial coefficients."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if n > degree_bound():
-        raise ValueError("degree %d exceeds bound %d" % (n, degree_bound()))
     image = _geometric_image(n, lambda mu: elementary_eigenvalue(mu, k))
     result = image.convert("e")
     for lam, c in result.terms():

@@ -26,8 +26,8 @@ def _as_partition(mu):
     return mu if isinstance(mu, Partition) else Partition(mu)
 
 
-def _sign(m, mu):
-    return -1 if (m - len(mu)) % 2 else 1
+def _sign(mu):
+    return -1 if (mu.size - len(mu)) % 2 else 1
 
 
 def _staircase_monomials(mu):
@@ -35,39 +35,32 @@ def _staircase_monomials(mu):
     return [j for part in mu for j in range(part)]
 
 
-def forgotten_at_one(mu, m):
+def forgotten_at_one(mu):
     """f_mu evaluated at the alphabet 1: a signed rearrangement count."""
     mu = _as_partition(mu)
-    if mu.size != m:
-        raise ValueError("expected a partition of %d, got %r" % (m, mu))
-    return _sign(m, mu) * rearrangement_count(mu)
+    return _sign(mu) * rearrangement_count(mu)
 
 
-def forgotten_at_one_minus_t(mu, m):
+def forgotten_at_one_minus_t(mu):
     """f_mu evaluated at the alphabet 1 - t, as an integer polynomial.
 
     The removal sum runs over distinct part values of mu: the underlying
     decomposition splits off a single part, so each value contributes once.
     """
     mu = _as_partition(mu)
-    if mu.size != m:
-        raise ValueError("expected a partition of %d, got %r" % (m, mu))
     acc = TPoly.const(rearrangement_count(mu))
     for value in sorted(set(mu.parts)):
         acc = acc - TPoly.t_power(value) * rearrangement_count(mu.remove(value))
-    return _sign(m, mu) * acc
+    return _sign(mu) * acc
 
 
-def hf_term_series(mu, m, order):
+def hf_term_series(mu, order):
     """The series h_mu[1/(1-t)] * f_mu[1-t], truncated at ``order``, as the
     single-removal sum G_{i-1} * prod G_{mu_j, j != one copy of i} *
     |R(mu-(i))| over the distinct parts i of mu, G_r the series of
     partitions with parts at most r; 1 for the empty partition.  The sign
-    (-1)^(m - len(mu)) is included."""
-    mu = _as_partition(mu)
-    if mu.size != m:
-        raise ValueError("expected a partition of %d, got %r" % (m, mu))
-    return _removal_sum(mu, order)
+    (-1)^(|mu| - len(mu)) is included."""
+    return _removal_sum(_as_partition(mu), order)
 
 
 @lru_cache
@@ -82,7 +75,7 @@ def _removal_sum(mu, order):
         for part in reduced:
             term = term * partitions_bounded_series(part, order)
         removal = removal + term * rearrangement_count(reduced)
-    return removal * _sign(mu.size, mu)
+    return removal * _sign(mu)
 
 
 def monomial_eval(lam, mu):
@@ -113,5 +106,5 @@ def forgotten_coefficient_series(lam, k, order):
         return TSeries.zero(order)
     acc = TSeries.zero(order)
     for mu in partitions_of(k + 1):
-        acc = acc + hf_term_series(mu, k + 1, order) * monomial_eval(lam, mu)
+        acc = acc + hf_term_series(mu, order) * monomial_eval(lam, mu)
     return acc

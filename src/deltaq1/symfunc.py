@@ -264,27 +264,6 @@ class SymFuncExpr:
         )
         return "SymFuncExpr{%s}" % bits
 
-    def scaled(self, c):
-        c = _coerce_coeff(c)
-        return SymFuncExpr(
-            self._degree,
-            self._basis,
-            {lam: v * c for lam, v in self._terms.items()},
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, SymFuncExpr):
-            return NotImplemented
-        if other._basis != self._basis or other._degree != self._degree:
-            raise ValueError("cannot add expressions in different bases or degrees")
-        terms = dict(self._terms)
-        for lam, c in other._terms.items():
-            terms[lam] = terms.get(lam, RAT_ZERO) + c
-        return SymFuncExpr(self._degree, self._basis, terms)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
     def convert(self, target):
         """The same symmetric function written in the target basis."""
         if target not in BASES:

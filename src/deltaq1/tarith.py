@@ -7,11 +7,13 @@ Three value types, all immutable:
 * ``TRat``     reduced ratio of two integer polynomials.
 
 Every quantity this package ultimately reports is an integer polynomial in
-t; rationals appear only inside basis transitions and oracle intermediates.
-The polynomial arithmetic behind ``TRat`` is over ``int`` alone: ``poly_gcd``
-is Euclid on primitive parts with pseudo-remainders, ``divexact`` is integer
-long division, and a ratio with a constant numerator or denominator needs
-no gcd at all.
+t.  ``TRat`` is the field of the eigenoperator oracle: rationals appear only
+inside its basis transitions and intermediates.  ``TSeries`` belongs to the
+formal series of ``specialize`` and the diagram count built on them.
+Nothing converts one into the other.  The polynomial arithmetic behind
+``TRat`` is over ``int`` alone: ``poly_gcd`` is Euclid on primitive parts
+with pseudo-remainders, ``divexact`` is integer long division, and a ratio
+with a constant numerator or denominator needs no gcd at all.
 """
 
 from __future__ import annotations
@@ -137,18 +139,6 @@ class TPoly:
         return TPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = TPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __call__(self, x):
         out = 0
@@ -307,11 +297,6 @@ class TSeries:
             raise IndexError("coefficient %d beyond order %d" % (i, self._order))
         return self._c[i]
 
-    def truncate(self, order):
-        if order > self._order:
-            raise ValueError("cannot extend accuracy from %d to %d" % (self._order, order))
-        return TSeries(self._c, order)
-
     def is_zero(self):
         return not any(self._c)
 
@@ -359,19 +344,6 @@ class TSeries:
         return TSeries(out, order)
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        """Multiplicative inverse; requires constant term +1 or -1."""
-        c0 = self._c[0]
-        if c0 not in (1, -1):
-            raise ValueError("series inverse needs constant term +-1, got %d" % c0)
-        inv = [c0] + [0] * self._order
-        for k in range(1, self._order + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                acc += self._c[j] * inv[k - j]
-            inv[k] = -c0 * acc
-        return TSeries(inv, self._order)
 
     def __repr__(self):
         return "%r + O(t^%d)" % (TPoly(_strip(list(self._c))), self._order + 1)
@@ -430,9 +402,6 @@ class TRat:
         if not self.is_polynomial():
             raise ValueError("%r is not a polynomial" % (self,))
         return self._num
-
-    def series(self, order):
-        return TSeries.from_poly(self._num, order) * TSeries.from_poly(self._den, order).inverse()
 
     @staticmethod
     def _coerce(x):
@@ -510,23 +479,6 @@ class TRat:
 RAT_ZERO = TRat(ZERO)
 
 
-def t_analog(m):
-    """The t-analog [m]_t = 1 + t + ... + t^(m-1); zero for m = 0."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return TPoly([1] * m)
-
-
-def t_pochhammer(k):
-    """The product (1 - t)(1 - t^2)...(1 - t^k); empty product is 1."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = ONE
-    for j in range(1, k + 1):
-        out = out * (ONE - TPoly.t_power(j))
-    return out
-
-
 def partitions_bounded_series(r, order):
     """Series of partitions with largest part at most r, truncated at ``order``."""
     if r < 0:
@@ -537,8 +489,3 @@ def partitions_bounded_series(r, order):
         for d in range(j, order + 1):
             c[d] += c[d - j]
     return TSeries(c, order)
-
-
-def partitions_bounded_rat(r):
-    """The same generating function as a rational: 1 / prod_{j<=r} (1 - t^j)."""
-    return TRat(ONE, t_pochhammer(r))

@@ -113,6 +113,15 @@ def test_inverse_rejects_malformed():
         msequence_to_decorated([(0, 0)])
 
 
+def test_inverse_refuses_non_integers():
+    # int() would truncate to [(0, 2), (0, 0)], a valid sequence
+    with pytest.raises(TypeError, match="not 2.9$"):
+        msequence_to_decorated([(0, 2.9), (0.7, 0)])
+    for pairs in ([(0, True), (0, 0)], [(0, 1), ("0", 0)], [(0, None)]):
+        with pytest.raises(TypeError):
+            MSequence(pairs)
+
+
 @st.composite
 def msequence_candidates(draw):
     """Pair lists with a_1 = 0, budgets summing to at most 9 and each

@@ -39,7 +39,6 @@ def test_labeled_weight_example():
     diagram = LabeledDiagram(stacks, Partition([5, 3, 3, 2, 1, 1]))
     assert diagram.weight() == 32
     assert diagram.sign() == -1
-    assert diagram.mu() == Partition([4, 2, 2, 1])
 
 
 def test_all_labels_leftmost_weightless():

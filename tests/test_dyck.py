@@ -29,6 +29,17 @@ def test_path_validation():
         DyckPath([])
 
 
+def test_constructors_refuse_non_integers():
+    # int() would truncate 1.9 and read True as 1, giving another path
+    for area in ([0, 1.9], [0, True], [0, "1"], [0.0]):
+        with pytest.raises(TypeError):
+            DyckPath(area)
+    path = DyckPath([0, 1])
+    for rows in ([2.0], [True], [None]):
+        with pytest.raises(TypeError):
+            DecoratedDyckPath(path, rows)
+
+
 def test_enumerate_paths():
     assert [p.area_seq for p in enumerate_paths(1)] == [(0,)]
     assert [p.area_seq for p in enumerate_paths(2)] == [(0, 0), (0, 1)]
@@ -51,15 +62,6 @@ def test_runs_cover_rows():
         total = sum(length for _, length in path.runs())
         assert total == path.n
         assert path.vertical_run_partition().size == path.n
-
-
-def test_steps_word():
-    assert DyckPath((0,)).steps() == "NE"
-    assert DyckPath((0, 1)).steps() == "NNEE"
-    assert DyckPath((0, 0)).steps() == "NENE"
-    for path in enumerate_paths(5):
-        word = path.steps()
-        assert word.count("N") == word.count("E") == path.n
 
 
 def test_decoration_weight_examples():
@@ -88,7 +90,8 @@ def test_decorated_validation_and_area():
 
 
 def test_enumerate_decorated_examples():
-    out = enumerate_decorated(2, 1, lam=Partition([2]))
+    out = [d for d in enumerate_decorated(2, 1)
+           if d.path.vertical_run_partition() == Partition([2])]
     weights = sorted(d.decorated_area() for d in out)
     assert weights == [0, 1]
     assert {frozenset(d.rows) for d in out} == {frozenset([0]), frozenset([2])}

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -83,9 +84,10 @@ def test_counts_match_decorated_paths():
     # at t=1 the M-sequence count equals the decorated path count
     for n in range(1, 8):
         for k in range(1, n + 1):
+            expected = Counter(d.path.vertical_run_partition()
+                               for d in enumerate_decorated(n, k))
             for lam in partitions_of(n):
-                expected = len(enumerate_decorated(n, k, lam=lam))
-                assert len(msequences(lam, k)) == expected
+                assert len(msequences(lam, k)) == expected[lam]
 
 
 @pytest.mark.parametrize(

@@ -11,33 +11,15 @@ from deltaq1.oracle import (
     delta_general,
     elementary_eigenvalue,
     eval_at_staircase,
-    geometric_h_expansion,
     haglund_check,
-    macdonald_q1,
 )
 from deltaq1.partitions import Partition, partitions_of
-from deltaq1.specialize import forgotten_at_one_minus_t
-from deltaq1.symfunc import SymFuncExpr, hall_inner, plethysm_geometric
-from deltaq1.tarith import TPoly, TRat
+from deltaq1.symfunc import SymFuncExpr, degree_bound, plethysm_geometric
+from deltaq1.tarith import ONE, TPoly, TRat
 
 
 def elem(basis, parts):
     return SymFuncExpr.basis_element(basis, parts)
-
-
-def test_macdonald_small():
-    assert macdonald_q1(Partition([1])) == elem("p", [1])
-    assert macdonald_q1(Partition([2])) == elem("p", [1, 1])
-
-
-def test_macdonald_normalization():
-    # pairing with the single-row Schur function gives a monic-at-0 polynomial
-    for n in range(1, 6):
-        sn = elem("s", [n])
-        for mu in partitions_of(n):
-            ip = hall_inner(macdonald_q1(mu), sn)
-            assert ip.is_polynomial()
-            assert ip.as_poly().coeff(0) == 1
 
 
 def test_elementary_eigenvalue():
@@ -54,16 +36,11 @@ def test_elementary_eigenvalue():
 
 
 def test_geometric_h_expansion_values():
-    assert geometric_h_expansion(1) == {Partition([1]): TPoly([1, -1])}
-    out = geometric_h_expansion(2)
-    assert out[Partition([2])] == TPoly([-1, 0, 1])
-    assert out[Partition([1, 1])] == TPoly([1, -1])
-    # reconstruction is asserted internally for every degree
+    # e_n = sum over mu of f_mu[1-t] h_mu[X/(1-t)]: the image with every
+    # eigenvalue 1 is e_n itself
     for n in range(1, 7):
-        coeffs = geometric_h_expansion(n)
-        assert coeffs == {
-            mu: forgotten_at_one_minus_t(mu, n) for mu in partitions_of(n)
-        }
+        expected = elem("e", [n]).convert("p")
+        assert oracle._geometric_image(n, lambda mu: ONE) == expected
 
 
 def test_delta_spot_values():
@@ -83,6 +60,17 @@ def test_delta_range_checks():
         delta_e(2, 3)
     with pytest.raises(ValueError):
         delta_e(11, 1)
+
+
+def test_delta_general_refuses_a_degree_over_the_bound(monkeypatch):
+    # refused before the partitions of n are walked: p(60) is 966,467
+    calls = []
+    monkeypatch.setattr(oracle, "forgotten_at_one_minus_t", calls.append)
+    for n in (degree_bound() + 1, 60):
+        message = "^degree %d exceeds bound %d$" % (n, degree_bound())
+        with pytest.raises(ValueError, match=message):
+            delta_general(elem("e", [2]), n)
+    assert calls == []
 
 
 def test_delta_coefficients_are_polynomials():

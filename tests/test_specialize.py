@@ -26,10 +26,10 @@ def _times_one_minus_t_alphabet(expr):
 
 
 @pytest.mark.parametrize(
-    "mu, m, value", [([1, 1, 1], 3, 1), ([2], 2, -1), ([2, 1], 3, -2)]
+    "mu, value", [([1, 1, 1], 1), ([2], -1), ([2, 1], -2)]
 )
-def test_forgotten_at_one_examples(mu, m, value):
-    assert forgotten_at_one(mu, m) == value
+def test_forgotten_at_one_examples(mu, value):
+    assert forgotten_at_one(mu) == value
 
 
 def test_forgotten_at_one_vs_jacobi_trudi():
@@ -37,21 +37,21 @@ def test_forgotten_at_one_vs_jacobi_trudi():
     for m in range(1, 7):
         hexp = SymFuncExpr.basis_element("e", [m]).convert("h")
         for mu in partitions_of(m):
-            assert TRat(forgotten_at_one(mu, m)) == hexp.coeff(mu)
+            assert TRat(forgotten_at_one(mu)) == hexp.coeff(mu)
 
 
 @pytest.mark.parametrize(
     "mu, coeffs",
-    [([1, 1], [1, -1]), ([2], [-1, 0, 1]), ([2, 1], [-2, 1, 1])],
+    [([1, 1], [1, -1]), ([2], [-1, 0, 1]), ([2, 1], [-2, 1, 1]), ([1], [1, -1])],
 )
 def test_forgotten_at_one_minus_t_examples(mu, coeffs):
-    assert forgotten_at_one_minus_t(mu, sum(mu)) == TPoly(coeffs)
+    assert forgotten_at_one_minus_t(mu) == TPoly(coeffs)
 
 
 def test_forgotten_at_t_zero_matches_at_one():
     for m in range(1, 9):
         for mu in partitions_of(m):
-            assert forgotten_at_one_minus_t(mu, m)(0) == forgotten_at_one(mu, m)
+            assert forgotten_at_one_minus_t(mu)(0) == forgotten_at_one(mu)
 
 
 def test_forgotten_addition_formula_against_engine():
@@ -60,29 +60,20 @@ def test_forgotten_addition_formula_against_engine():
         em = _times_one_minus_t_alphabet(SymFuncExpr.basis_element("e", [m]))
         hexp = em.convert("h")
         for mu in partitions_of(m):
-            assert hexp.coeff(mu) == TRat(forgotten_at_one_minus_t(mu, m))
-
-
-def test_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        forgotten_at_one([2], 3)
-    with pytest.raises(ValueError):
-        forgotten_at_one_minus_t([2], 3)
-    with pytest.raises(ValueError):
-        hf_term_series(Partition([2]), 3, 5)
+            assert hexp.coeff(mu) == TRat(forgotten_at_one_minus_t(mu))
 
 
 def test_hf_term_series_examples():
-    assert hf_term_series(Partition([1]), 1, 5) == TSeries.from_poly(ONE, 5)
-    assert hf_term_series(Partition([1, 1]), 2, 3) == TSeries.from_poly(
+    assert hf_term_series(Partition([1]), 5) == TSeries.from_poly(ONE, 5)
+    assert hf_term_series(Partition([1, 1]), 3) == TSeries.from_poly(
         TPoly([1, 1, 1, 1]), 3
     )
     # G_2 * f_(2)[1-t] collapses to -1/(1-t)
-    assert hf_term_series(Partition([2]), 2, 3) == TSeries.from_poly(
+    assert hf_term_series(Partition([2]), 3) == TSeries.from_poly(
         TPoly([-1, -1, -1, -1]), 3
     )
     # the empty product times f_()[1-t] = 1
-    assert hf_term_series(Partition([]), 0, 2) == TSeries.one(2)
+    assert hf_term_series(Partition([]), 2) == TSeries.one(2)
 
 
 def test_hf_term_series_double_route():
@@ -93,8 +84,8 @@ def test_hf_term_series_double_route():
             product = TSeries.one(30)
             for part in mu:
                 product = product * partitions_bounded_series(part, 30)
-            assert hf_term_series(mu, m, 30) == (
-                product * forgotten_at_one_minus_t(mu, m)
+            assert hf_term_series(mu, 30) == (
+                product * forgotten_at_one_minus_t(mu)
             ), mu
 
 

@@ -11,7 +11,7 @@ from deltaq1 import verify
 from deltaq1.cli import _MAX_ROWS, main
 from deltaq1.diagrams import ColumnStack, LabeledDiagram, diagrams_up_to
 from deltaq1.oracle import haglund_check
-from deltaq1.partitions import partitions_of
+from deltaq1.partitions import Partition, partitions_of
 from deltaq1.symfunc import SymFuncExpr
 from deltaq1.tarith import TPoly
 from deltaq1.verify import _MAX_DEGREE, _MAX_DIAGRAMS, _MAX_K, run_suite
@@ -110,7 +110,9 @@ def test_expand_csv_reports_oracle_mismatch(capsys, monkeypatch):
 
     def off_by_e_n(n, k):
         image = real(n, k)
-        return image + SymFuncExpr.basis_element("e", [n]).convert(image.basis)
+        terms = dict(image.terms())
+        terms[Partition([n])] = image.coeff([n]) + 1
+        return SymFuncExpr(n, image.basis, terms)
 
     _, expected, _ = run_cli(capsys, "expand", "3", "2", "--format", "csv")
     monkeypatch.setattr(cli, "delta_e", off_by_e_n)
