@@ -38,7 +38,6 @@ from .specialize import (
 from .dyck import (
     DecoratedDyckPath,
     DyckPath,
-    decoration_weight,
     enumerate_decorated,
     enumerate_paths,
 )

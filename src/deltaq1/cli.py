@@ -1,5 +1,7 @@
 """Command line surface: expansions, identity suites, and the bijection.
 
+Each command only parses its arguments, calls the library and prints: the
+mathematics, the comparison of the two routes included, is in the library.
 All structured output is JSON on stdout; errors go to stderr as one line.
 Exit codes: 0 success, 1 counterexample or invalid object, 2 usage.
 Reports omit the wall-clock field unless asked, so default output is
@@ -14,67 +16,30 @@ import sys
 
 from .bijection import decorated_to_msequence, msequence_to_decorated
 from .dyck import DecoratedDyckPath
-from .msequences import MSequence, generic_polynomial, m_expansion, osp_polynomial
-from .oracle import delta_e
-from .partitions import partitions_of
+from .msequences import MSequence, expansion_terms, osp_polynomial
 from .symfunc import degree_bound
-from .tarith import TRat
-from .verify import SUITES, _UsageError, run_suite
+from .verify import SUITES, _UsageError, oracle_mismatches, run_suite
 
 
-# The models compute L_k(g) = <omega F, g> for the Delta image F under the
-# Hall inner product, so the coefficient of b_lam is L_k of omega of the Hall
-# dual of b_lam: e_lam <-> m_lam, s_lam <-> s_lam', f_lam <-> h_lam and
-# m_lam <-> e_lam.
-_DUAL = {"e": "m", "s": "s", "f": "h", "m": "e"}
-
-
-def _expansion_terms(n, k, basis):
-    """Coefficient of each basis element of the Delta image, computed from
-    the combinatorial models (no oracle).  Each L_k(m_mu) is computed once
-    for the whole table."""
-    memo = {}
-    terms = []
-    for lam in partitions_of(n):
-        dual = lam.conjugate() if basis == "s" else lam
-        coeff = generic_polynomial(m_expansion(_DUAL[basis], dual, k + 1), k,
-                                   memo)
-        if not coeff.is_zero():
-            terms.append((lam, coeff))
-    return terms
+def _terms_json(terms):
+    return [{"partition": lam.to_json(), "coeff": poly.to_json()}
+            for lam, poly in terms]
 
 
 def _cmd_expand(args):
     n, k = args.n, args.k
-    terms = _expansion_terms(n, k, args.basis)
-    payload = {
-        "n": n,
-        "k": k,
-        "basis": args.basis,
-        "terms": [
-            {"partition": lam.to_json(), "coeff": poly.to_json()}
-            for lam, poly in terms
-        ],
-    }
-    exit_code = 0
+    terms = expansion_terms(n, k, args.basis)
+    payload = {"n": n, "k": k, "basis": args.basis, "terms": _terms_json(terms)}
+    mismatches = []
     if args.oracle:
-        oracle_expr = delta_e(n, k).convert(args.basis)
-        by_partition = dict(terms)
-        mismatches = []
-        for lam in partitions_of(n):
-            combinatorial = TRat(by_partition.get(lam, 0))
-            if oracle_expr.coeff(lam) != combinatorial:
-                mismatches.append(
-                    {
-                        "partition": lam.to_json(),
-                        "combinatorial": combinatorial.to_json(),
-                        "oracle": oracle_expr.coeff(lam).to_json(),
-                    }
-                )
+        mismatches = [
+            {"partition": lam.to_json(), "combinatorial": model.to_json(),
+             "oracle": oracle.to_json()}
+            for lam, model, oracle in oracle_mismatches(n, k, args.basis, terms)
+        ]
         payload["oracle_match"] = not mismatches
         if mismatches:
             payload["mismatches"] = mismatches
-            exit_code = 1
     if args.format == "csv":
         width = 1 + max((p.degree for _, p in terms), default=0)
         lines = ["partition," + ",".join("t^%d" % i for i in range(width))]
@@ -82,13 +47,13 @@ def _cmd_expand(args):
             cells = [str(poly.coeff(i)) for i in range(width)]
             lines.append('"%s",' % list(lam.parts) + ",".join(cells))
         print("\n".join(lines))
-        if exit_code:
+        if mismatches:
             # the table has no room for the verdict
             print("oracle mismatch, first at partition %s"
                   % mismatches[0]["partition"], file=sys.stderr)
     else:
         print(json.dumps(payload, indent=2))
-    return exit_code
+    return 1 if mismatches else 0
 
 
 def _verify_options(args):
@@ -159,10 +124,7 @@ def _cmd_hilbert(args):
 
 
 def _cmd_schur(args):
-    terms = [
-        {"partition": lam.to_json(), "coeff": poly.to_json()}
-        for lam, poly in _expansion_terms(args.n, args.k, "s")
-    ]
+    terms = _terms_json(expansion_terms(args.n, args.k, "s"))
     print(json.dumps({"n": args.n, "k": args.k, "terms": terms}, indent=2))
     return 0
 

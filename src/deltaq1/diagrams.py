@@ -30,6 +30,7 @@ from .msequences import MSequence
 from .partitions import (
     Partition,
     distinct_orderings,
+    int_entries,
     padded_rearrangements,
     partitions_of,
 )
@@ -43,11 +44,11 @@ class ColumnStack:
     __slots__ = ("_row_len", "_above", "_labels")
 
     def __init__(self, row_len, above, labels):
-        row_len = int(row_len)
+        (row_len,) = int_entries([row_len])
         if row_len < 1:
             raise ValueError("row length must be positive")
         above = above if isinstance(above, Partition) else Partition(above)
-        labels = tuple(int(x) for x in labels)
+        labels = int_entries(labels)
         if len(labels) != row_len:
             raise ValueError("need one label per cell")
         if any(x < 0 for x in labels):

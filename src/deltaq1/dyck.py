@@ -10,18 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .partitions import Partition
+from .partitions import Partition, int_entries
 from .tarith import TPoly
-
-
-def _int_entries(values):
-    """The values as a tuple; TypeError names the first one that is not an
-    int (a bool is not)."""
-    values = tuple(values)
-    for x in values:
-        if type(x) is not int:
-            raise TypeError("entries must be integers, not %r" % (x,))
-    return values
 
 
 class DyckPath:
@@ -31,7 +21,7 @@ class DyckPath:
     __slots__ = ("_alpha",)
 
     def __init__(self, area_seq):
-        alpha = _int_entries(area_seq)
+        alpha = int_entries(area_seq)
         if not alpha:
             raise ValueError("empty area sequence")
         if alpha[0] != 0:
@@ -117,7 +107,7 @@ def enumerate_paths(n):
 def decoration_weights(path, max_count):
     """Decorated-area polynomials by decoration count 0..max_count: entry j
     is the sum of t^(area - sum of alpha over the decorated rows) over the
-    j-sets of {origin} union the decorable rows.
+    j-sets of {origin} union the decorable rows, zero when there are none.
 
     This is the w-expansion of t^R * (t^0 + w) * prod over decorable rows of
     (t^alpha_row + w), where R is the area outside the decorable rows, so
@@ -132,16 +122,6 @@ def decoration_weights(path, max_count):
     return coeffs
 
 
-def decoration_weight(path, count):
-    """Single entry of decoration_weights; zero past the number of
-    available rows plus one (for the origin)."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count > len(path.rises()) + 1:
-        return TPoly()
-    return decoration_weights(path, count)[count]
-
-
 class DecoratedDyckPath:
     """A Dyck path with a set of decorated rows drawn from {0} union the
     decorable rows; 0 marks the origin."""
@@ -149,7 +129,7 @@ class DecoratedDyckPath:
     __slots__ = ("_path", "_rows")
 
     def __init__(self, path, rows):
-        rows = frozenset(_int_entries(rows))
+        rows = frozenset(int_entries(rows))
         allowed = set(path.rises()) | {0}
         bad = rows - allowed
         if bad:

@@ -19,6 +19,9 @@ an m-expansion counted once per partition mu:
 
 The m-coefficients are counted here (``m_expansion``), not read from the
 ``symfunc`` tables, so the model route stays independent of the oracle.
+``expansion_terms`` gives the Delta image in the e, f, m or s basis from
+the models alone; its duality table ``_DUAL`` names the m-expansion that
+pairs with each basis, and nothing outside this module knows it.
 The object enumerators (``msequences``, ``osp_sequences``,
 ``ssyt_sequences``) list the same objects one by one for the bijection, the
 involution and the tests.  ``MSequence`` is the one check of admissibility:
@@ -31,8 +34,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, product
 from math import factorial, prod
 
-from .dyck import _int_entries
-from .partitions import Partition, padded_rearrangements, partitions_of
+from .partitions import Partition, int_entries, padded_rearrangements, partitions_of
 from .tarith import TPoly
 
 
@@ -182,6 +184,27 @@ def m_expansion(basis, lam, nvars):
     return out
 
 
+# The models compute L_k(g) = <omega F, g> for the Delta image F under the
+# Hall inner product, so the coefficient of b_lam is L_k of omega of the Hall
+# dual of b_lam: e_lam <-> m_lam, s_lam <-> s_lam', f_lam <-> h_lam and
+# m_lam <-> e_lam.
+_DUAL = {"e": "m", "s": "s", "f": "h", "m": "e"}
+
+
+def expansion_terms(n, k, basis):
+    """(lam, coeff) for every lam |- n, in ``partitions_of`` order, whose
+    coefficient of b_lam in the Delta image is nonzero, where b is
+    ``basis`` ("e", "f", "m" or "s"); computed from the models alone.  Each
+    L_k(m_mu) is computed once for the whole table."""
+    dual, memo, terms = _DUAL[basis], {}, []
+    for lam in partitions_of(n):
+        mu = lam.conjugate() if basis == "s" else lam
+        coeff = generic_polynomial(m_expansion(dual, mu, k + 1), k, memo)
+        if coeff:
+            terms.append((lam, coeff))
+    return terms
+
+
 class MSequence:
     """A sequence of (a_i, b_i) pairs with a_1 = 0 and a_{i+1} < a_i + b_i.
 
@@ -195,7 +218,7 @@ class MSequence:
     def __init__(self, pairs):
         pairs = tuple(map(tuple, pairs))
         # every entry is checked before the shape of any pair
-        _int_entries(chain.from_iterable(pairs))
+        int_entries(chain.from_iterable(pairs))
         pairs = tuple((a, b) for a, b in pairs)
         if not pairs:
             raise ValueError("empty sequence")
@@ -283,7 +306,8 @@ class OSPSequence:
     __slots__ = ("_pairs",)
 
     def __init__(self, pairs):
-        pairs = tuple((int(a), frozenset(int(x) for x in block)) for a, block in pairs)
+        # the a_i are checked as entries of the M-sequence below
+        pairs = tuple((a, frozenset(int_entries(block))) for a, block in pairs)
         seen = set()
         for _, block in pairs:
             if seen & block:
@@ -390,8 +414,8 @@ class SSYTSequence:
     __slots__ = ("_tableau", "_avec")
 
     def __init__(self, tableau, avec, k):
-        tableau = tuple(tuple(int(v) for v in row) for row in tableau)
-        avec = tuple(int(a) for a in avec)
+        # the a_i are checked as entries of the M-sequence below
+        tableau, avec = tuple(map(int_entries, tableau)), tuple(avec)
         if len(avec) != k + 1:
             raise ValueError("a-vector must have length k+1")
         for row in tableau:

@@ -2,13 +2,24 @@
 
 Partitions are the indexing objects for every basis, diagram and model in
 this package.  They are normalized at construction (zeros dropped, parts
-sorted decreasingly) so that equality is structural.
+sorted decreasingly) so that equality is structural.  ``int_entries`` is
+the integer check of the object constructors built on them.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+
+def int_entries(values):
+    """The values as a tuple; TypeError names the first one that is not an
+    int (a bool is not), so the object constructors truncate nothing."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise TypeError("entries must be integers, not %r" % (x,))
+    return values
 
 
 class Partition:

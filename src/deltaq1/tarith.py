@@ -37,7 +37,7 @@ class TPoly:
     def __init__(self, coeffs=()):
         vals = []
         for x in coeffs:
-            if not isinstance(x, int):
+            if type(x) is not int:  # a bool is not
                 raise TypeError("TPoly coefficients must be int, got %r" % (x,))
             vals.append(x)
         self._c = tuple(_strip(vals))
@@ -170,7 +170,9 @@ class TPoly:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(s) for s in data)
+        """Read what to_json writes: decimal strings are parsed, and any
+        other entry must be an int itself; nothing is truncated."""
+        return cls(int(s) if isinstance(s, str) else s for s in data)
 
 
 ZERO = TPoly()

@@ -63,6 +63,14 @@ def test_stack_validation():
         LabeledDiagram([ColumnStack(1, [], (3,))], Partition([2]))
 
 
+def test_stack_refuses_non_integers():
+    # int() would truncate each of these to a valid stack
+    for row_len, labels in ((1.0, (0,)), (True, (0,)), (2, (0, 1.5)),
+                            (1, (True,)), ("1", (0,))):
+        with pytest.raises(TypeError):
+            ColumnStack(row_len, [], labels)
+
+
 def _example_pair():
     lam = Partition([2, 1])
     first = ColumnStack(1, [], (0,))

@@ -6,7 +6,7 @@ import pytest
 from deltaq1.dyck import (
     DecoratedDyckPath,
     DyckPath,
-    decoration_weight,
+    decoration_weights,
     enumerate_decorated,
     enumerate_paths,
 )
@@ -66,11 +66,11 @@ def test_runs_cover_rows():
 
 def test_decoration_weight_examples():
     # one decoration: the origin (area kept) or row 2 (its cell discounted)
-    assert decoration_weight(DyckPath((0, 0)), 1) == ONE
-    assert decoration_weight(DyckPath((0, 1)), 1) == TPoly([1, 1])
+    assert decoration_weights(DyckPath((0, 0)), 1)[1] == ONE
+    assert decoration_weights(DyckPath((0, 1)), 1)[1] == TPoly([1, 1])
     for path in enumerate_paths(4):
-        assert decoration_weight(path, 0) == TPoly.t_power(path.area())
-        assert decoration_weight(path, path.n + 1).is_zero()
+        assert decoration_weights(path, 0)[0] == TPoly.t_power(path.area())
+        assert decoration_weights(path, path.n + 1)[path.n + 1].is_zero()
 
 
 def test_first_row_never_decorable():
@@ -117,7 +117,7 @@ def test_decoration_weight_matches_enumeration():
                 for rows in combinations(candidates, j):
                     decorated = DecoratedDyckPath(path, rows)
                     total = total + TPoly.t_power(decorated.decorated_area())
-                assert total == decoration_weight(path, j)
+                assert total == decoration_weights(path, j)[j]
 
 
 def test_json_round_trip():

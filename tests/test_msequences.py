@@ -125,6 +125,18 @@ def test_osp_validation():
         OSPSequence([(1, {1})])
 
 
+def test_osp_and_ssyt_refuse_non_integers():
+    # int() would truncate each of these to a valid object
+    for pairs in ([(0, {1.0})], [(0, {True})], [(0.0, {1})], [(False, {1})],
+                  [(0, {1}), (0.5, {2})]):
+        with pytest.raises(TypeError):
+            OSPSequence(pairs)
+    for tableau, avec in ((((1.0,),), (0, 0)), (((True,),), (0, 0)),
+                          (((1,),), (0, 0.0)), (((1,),), (False, 0))):
+        with pytest.raises(TypeError):
+            SSYTSequence(tableau, avec, 1)
+
+
 def test_enumerated_osp_reject_upward_mutation():
     for n, k in ((2, 1), (3, 2)):
         for seq in osp_sequences(n, k):

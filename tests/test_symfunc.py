@@ -158,6 +158,15 @@ def test_expr_json_round_trip():
     assert SymFuncExpr.from_json(expr.to_json()) == expr
 
 
+def test_expr_json_refuses_non_integer_coefficients():
+    # int() would truncate 1.7 to 1 and read True as 1
+    for coeff in ([1.7], [True], {"num": [1.7], "den": ["1"]}):
+        data = {"degree": 1, "basis": "e",
+                "terms": [{"partition": [1], "coeff": coeff}]}
+        with pytest.raises(TypeError):
+            SymFuncExpr.from_json(data)
+
+
 def test_transition_tables_are_inverse():
     # each basis -> p table is read off the dual basis's p -> table, so
     # this checks Hall orthogonality between independent closed forms

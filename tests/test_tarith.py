@@ -33,6 +33,19 @@ def test_poly_json():
     assert p.to_json()[0] == str(10**30)
 
 
+def test_poly_refuses_non_integers():
+    # a bool is not an int: TPoly([True, 2]) used to write ['True', '2']
+    with pytest.raises(TypeError):
+        TPoly([True, 2])
+    # the reader parses decimal strings and truncates nothing else
+    assert TPoly.from_json(["2", "-3", 4]) == TPoly([2, -3, 4])
+    for data in ([2.9, True], [1.7], ["1", None]):
+        with pytest.raises(TypeError):
+            TPoly.from_json(data)
+    with pytest.raises(TypeError):
+        TRat.from_json({"num": [1.7], "den": ["1"]})
+
+
 def test_bounded_partition_series_examples():
     assert partitions_bounded_series(0, 4).coeffs == (1, 0, 0, 0, 0)
     assert partitions_bounded_series(1, 3).coeffs == (1, 1, 1, 1)

@@ -103,10 +103,9 @@ def test_expand_csv(capsys):
 
 
 def test_expand_csv_reports_oracle_mismatch(capsys, monkeypatch):
-    from deltaq1 import cli
     from deltaq1.symfunc import SymFuncExpr
 
-    real = cli.delta_e
+    real = verify.delta_e
 
     def off_by_e_n(n, k):
         image = real(n, k)
@@ -115,7 +114,7 @@ def test_expand_csv_reports_oracle_mismatch(capsys, monkeypatch):
         return SymFuncExpr(n, image.basis, terms)
 
     _, expected, _ = run_cli(capsys, "expand", "3", "2", "--format", "csv")
-    monkeypatch.setattr(cli, "delta_e", off_by_e_n)
+    monkeypatch.setattr(verify, "delta_e", off_by_e_n)
     code, out, err = run_cli(
         capsys, "expand", "3", "2", "--format", "csv", "--oracle"
     )
@@ -290,18 +289,46 @@ def test_verify_suite_stdout_is_pinned(capsys, suite):
 def test_eq_suites_report_first_mismatching_partition(
     capsys, monkeypatch, suite, sides
 ):
-    real = verify.msequence_polynomial
+    # eq1 reads the models' e-basis terms, eq2 the M-polynomials; both get
+    # the same bump at (lam, k) = ([2, 1], 2)
+    real, real_terms = verify.msequence_polynomial, verify.expansion_terms
 
-    def changed(lam, k):
-        poly = real(lam, k)
+    def bumped(lam, k, poly):
         return poly + TPoly.t_power(2) if (lam, k) == ([2, 1], 2) else poly
 
+    def changed(lam, k):
+        return bumped(lam, k, real(lam, k))
+
+    def changed_terms(n, k, basis):
+        return [(lam, bumped(lam, k, poly))
+                for lam, poly in real_terms(n, k, basis)]
+
     monkeypatch.setattr(verify, "msequence_polynomial", changed)
+    monkeypatch.setattr(verify, "expansion_terms", changed_terms)
     code, out, _ = run_cli(capsys, "verify", suite, "--n-max", "3")
     report = json.loads(out)
     assert (code, report["status"], report["cases"]) == (1, "fail", 6)
     assert report["counterexample"] == {"n": 3, "k": 2, "partition": [2, 1],
                                         **sides}
+
+
+def test_schur_suite_reports_first_failing_tableau_shape(monkeypatch):
+    # the coefficients of s_[3,1] and s_[2,1,1] are off at (4, 2): they are
+    # the tableau shapes [2,1,1] and [3,1], and [3,1] comes first
+    real = verify.expansion_terms
+
+    def changed(n, k, basis):
+        return [(mu, poly + TPoly.t_power(2)
+                 if (n, k) == (4, 2) and mu in ([3, 1], [2, 1, 1]) else poly)
+                for mu, poly in real(n, k, basis)]
+
+    monkeypatch.setattr(verify, "expansion_terms", changed)
+    report = run_suite("schur", n_max=4)
+    assert report["counterexample"] == {
+        "n": 4, "k": 2, "partition": [3, 1],
+        "ssyt_side": ["9", "10", "8", "3", "1"],
+        "oracle_side": {"num": ["9", "10", "7", "3", "1"], "den": ["1"]},
+    }
 
 
 def test_verify_involution_audit(capsys):
@@ -383,6 +410,58 @@ def test_involution_suite_reports_model_mismatch(
     report = json.loads(out)
     assert (code, report["status"]) == (1, "fail")
     assert report["counterexample"] == {"case": case, "reason": reason}
+
+
+def test_involution_suite_reports_fixed_point_that_is_no_msequence(
+    monkeypatch
+):
+    # an involution that fixes everything, over the all-width-1 diagrams
+    # only: the first fixed diagram that two columns could combine fails its
+    # slice instead of escaping as the M-sequence check's ValueError
+    real = verify.diagrams_up_to
+    monkeypatch.setattr(verify, "involution", lambda d: None)
+    monkeypatch.setattr(verify, "diagrams_up_to", lambda k, lam, d: (
+        x for x in real(k, lam, d) if all(st.row_len == 1 for st in x.stacks)
+    ))
+    report = run_suite("involution", n_max=2, k_max=2, degree_max=3)
+    assert (report["status"], report["cases"]) == ("fail", 24)
+    assert report["counterexample"] == {
+        "case": [1, 1, [1], 0],
+        "reason": "fixed point is not an M-sequence",
+        "object": {"stacks": [{"row_len": 1, "above": [], "labels": [0]},
+                              {"row_len": 1, "above": [], "labels": [1]}]},
+    }
+
+
+def test_bijection_suite_reports_weight_faults(monkeypatch):
+    # each direction asserts that it keeps the weight; the suite reports
+    # the failed assertion as that direction's counterexample
+    from deltaq1 import bijection
+    from deltaq1.dyck import DecoratedDyckPath
+    from deltaq1.msequences import MSequence
+
+    rho = MSequence.rho
+    with monkeypatch.context() as patched:
+        patched.setattr(MSequence, "rho", lambda seq: rho(seq) + 1)
+        report = run_suite("bijection", n_max=2)
+    assert report["status"] == "fail"
+    assert report["counterexample"] == {
+        "n": 1, "k": 1, "object": {"area_seq": [0], "decorated_rows": []},
+        "reason": "weight not preserved",
+    }
+
+    class Heavier(DecoratedDyckPath):
+        def decorated_area(self):
+            return super().decorated_area() + 1
+
+    # only the inverse builds its decorated path through this name
+    monkeypatch.setattr(bijection, "DecoratedDyckPath", Heavier)
+    report = run_suite("bijection", n_max=2)
+    assert report["status"] == "fail"
+    assert report["counterexample"] == {
+        "n": 1, "k": 1, "object": {"pairs": [[0, 1], [0, 0]]},
+        "reason": "inverse weight not preserved",
+    }
 
 
 def test_phi_round_trip_cli(capsys):
