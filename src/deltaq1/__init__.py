@@ -14,12 +14,7 @@ from .partitions import (
     rearrangement_count,
     zee,
 )
-from .tarith import (
-    TPoly,
-    TRat,
-    TSeries,
-    partitions_bounded_series,
-)
+from .tarith import TPoly, TRat
 from .symfunc import (
     BASES,
     SymFuncExpr,
@@ -34,6 +29,7 @@ from .specialize import (
     forgotten_coefficient_series,
     hf_term_series,
     monomial_eval,
+    partitions_bounded_series,
 )
 from .dyck import (
     DecoratedDyckPath,

@@ -32,10 +32,11 @@ from .partitions import (
     distinct_orderings,
     int_entries,
     padded_rearrangements,
+    parity_sign,
     partitions_of,
 )
-from .specialize import hf_term_series, monomial_eval
-from .tarith import TSeries
+from .specialize import forgotten_series_terms
+from .tarith import TPoly
 
 
 class ColumnStack:
@@ -288,16 +289,13 @@ def diagrams_up_to(k, lam, degree_max):
 
 def diagram_count(k, lam, degree_max):
     """The number of diagrams of (k, lam) of each weight 0..degree_max,
-    without building one: the terms of ``forgotten_coefficient_series``,
-    hf_term_series(mu) * monomial_eval(lam, mu), with their signs undone."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    if len(lam) > k + 1 or degree_max < 0:
-        return (0,) * (degree_max + 1)
-    counts = TSeries.zero(degree_max)
-    for mu in partitions_of(k + 1):
-        counts = counts + hf_term_series(mu, degree_max) * (
-            monomial_eval(lam, mu) * (-1) ** (k + 1 - len(mu)))
-    return counts.coeffs
+    without building one: the terms of ``forgotten_series_terms`` summed
+    with their signs undone."""
+    if degree_max < 0:
+        return ()
+    counts = sum((parity_sign(mu) * term
+                  for mu, term in forgotten_series_terms(lam, k, degree_max)), TPoly())
+    return counts.coeffs + (0,) * (degree_max - counts.degree)
 
 
 def diagrams_of_weight(k, lam, d):

@@ -28,7 +28,7 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts=()):
-        cleaned = sorted((int(p) for p in parts), reverse=True)
+        cleaned = sorted(int_entries(parts), reverse=True)
         if cleaned and cleaned[-1] < 0:
             raise ValueError("partition parts must be nonnegative, got %r" % (parts,))
         self._parts = tuple(p for p in cleaned if p > 0)
@@ -172,6 +172,12 @@ def padded_rearrangements(lam, m):
     if len(lam) > m:
         raise ValueError("partition %r has more than %d parts" % (lam, m))
     return distinct_orderings(lam.parts + (0,) * (m - len(lam)))
+
+
+def parity_sign(mu):
+    """(-1)^(|mu| - len(mu)): the sign of omega on p_mu, and the sign of the
+    forgotten-basis series term of mu."""
+    return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
 def zee(mu):

@@ -7,10 +7,14 @@ symmetric function at the t-staircase alphabet of a partition, and the
 formal power series whose polynomial part is the forgotten-basis inner
 product of the Delta image.
 
-That series is the signed weight series of the labelled diagrams: its
-term of mu, with the sign (-1)^(k+1 - len(mu)) undone, counts by weight the
-diagrams whose rows rearrange mu, and the involution of ``diagrams``
-cancels the sum down to the M-polynomial.
+Each series is a ``TPoly`` truncated at its ``order``: ``truncated`` drops
+every term past t^order, from each factor before it multiplies, and
+refuses a negative order.
+
+The coefficient series is the signed weight series of the labelled
+diagrams: its term of mu, with the sign parity_sign(mu) undone, counts by
+weight the diagrams whose rows rearrange mu, and the involution of
+``diagrams`` cancels the sum down to the M-polynomial.
 """
 
 from __future__ import annotations
@@ -18,16 +22,18 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .partitions import Partition, partitions_of, padded_rearrangements, rearrangement_count
-from .tarith import TPoly, TSeries, partitions_bounded_series
+from .partitions import (
+    Partition,
+    padded_rearrangements,
+    parity_sign,
+    partitions_of,
+    rearrangement_count,
+)
+from .tarith import ONE, TPoly
 
 
 def _as_partition(mu):
     return mu if isinstance(mu, Partition) else Partition(mu)
-
-
-def _sign(mu):
-    return -1 if (mu.size - len(mu)) % 2 else 1
 
 
 def _staircase_monomials(mu):
@@ -35,10 +41,38 @@ def _staircase_monomials(mu):
     return [j for part in mu for j in range(part)]
 
 
+def truncated(order, *factors):
+    """The product of the polynomial factors as a series up to t^order.
+    Terms past t^order are dropped from each factor before it multiplies
+    and from each partial product, so none is carried into the next
+    product.  With no factor, the series 1."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    out = ONE
+    for factor in factors:
+        if factor.degree > order:
+            factor = TPoly(factor.coeffs[: order + 1])
+        out = out * factor
+        if out.degree > order:
+            out = TPoly(out.coeffs[: order + 1])
+    return out
+
+
+def partitions_bounded_series(r, order):
+    """Series of partitions with largest part at most r, truncated at ``order``."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    c = [1] + [0] * order
+    for j in range(1, r + 1):
+        for d in range(j, order + 1):
+            c[d] += c[d - j]
+    return truncated(order, TPoly(c))  # which refuses a negative order
+
+
 def forgotten_at_one(mu):
     """f_mu evaluated at the alphabet 1: a signed rearrangement count."""
     mu = _as_partition(mu)
-    return _sign(mu) * rearrangement_count(mu)
+    return parity_sign(mu) * rearrangement_count(mu)
 
 
 def forgotten_at_one_minus_t(mu):
@@ -51,7 +85,7 @@ def forgotten_at_one_minus_t(mu):
     acc = TPoly.const(rearrangement_count(mu))
     for value in sorted(set(mu.parts)):
         acc = acc - TPoly.t_power(value) * rearrangement_count(mu.remove(value))
-    return _sign(mu) * acc
+    return parity_sign(mu) * acc
 
 
 def hf_term_series(mu, order):
@@ -59,7 +93,7 @@ def hf_term_series(mu, order):
     single-removal sum G_{i-1} * prod G_{mu_j, j != one copy of i} *
     |R(mu-(i))| over the distinct parts i of mu, G_r the series of
     partitions with parts at most r; 1 for the empty partition.  The sign
-    (-1)^(|mu| - len(mu)) is included."""
+    parity_sign(mu) is included."""
     return _removal_sum(_as_partition(mu), order)
 
 
@@ -67,15 +101,14 @@ def hf_term_series(mu, order):
 def _removal_sum(mu, order):
     # the same for every lam, so it is kept for the next one
     if not mu:
-        return TSeries.one(order)
-    removal = TSeries.zero(order)
+        return truncated(order)
+    removal = TPoly()
     for value in sorted(set(mu.parts)):
         reduced = mu.remove(value)
-        term = partitions_bounded_series(value - 1, order)
-        for part in reduced:
-            term = term * partitions_bounded_series(part, order)
+        term = truncated(order, partitions_bounded_series(value - 1, order),
+                         *(partitions_bounded_series(part, order) for part in reduced))
         removal = removal + term * rearrangement_count(reduced)
-    return removal * _sign(mu)
+    return removal * parity_sign(mu)
 
 
 def monomial_eval(lam, mu):
@@ -93,18 +126,22 @@ def monomial_eval(lam, mu):
     return TPoly(coeffs)
 
 
+def forgotten_series_terms(lam, k, order):
+    """The terms of the coefficient series, one per mu |- k+1: mu paired
+    with hf_term_series(mu) * monomial_eval(lam, mu), truncated at
+    ``order``.  The term of mu has the sign parity_sign(mu)."""
+    lam = _as_partition(lam)
+    return [(mu, truncated(order, hf_term_series(mu, order), monomial_eval(lam, mu)))
+            for mu in partitions_of(k + 1)]
+
+
 def forgotten_coefficient_series(lam, k, order):
     """The truncated series for the forgotten-basis coefficient of the
-    Delta image: sum over mu of k+1 of the hf factor times the monomial
-    evaluation.  A polynomial of degree at most n(n-1)/2 hides inside, so
-    any order at least that determines it."""
+    Delta image: the sum of ``forgotten_series_terms``.  A polynomial of
+    degree at most n(n-1)/2 hides inside, so any order at least that
+    determines it."""
     lam = _as_partition(lam)
     n = lam.size
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= %d, got k=%d" % (n, k))
-    if len(lam) > k + 1:
-        return TSeries.zero(order)
-    acc = TSeries.zero(order)
-    for mu in partitions_of(k + 1):
-        acc = acc + hf_term_series(mu, order) * monomial_eval(lam, mu)
-    return acc
+    return sum((term for _, term in forgotten_series_terms(lam, k, order)), TPoly())

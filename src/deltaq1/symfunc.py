@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .partitions import Partition, partitions_of, zee
+from .partitions import Partition, parity_sign, partitions_of, zee
 from .tarith import TRat, TPoly, ONE, RAT_ZERO
 
 BASES = ("e", "h", "m", "p", "s", "f")
@@ -48,11 +48,6 @@ def degree_bound():
 def _check_degree(n):
     if n > _DEGREE_BOUND:
         raise ValueError("degree %d exceeds bound %d" % (n, _DEGREE_BOUND))
-
-
-def _eps(mu):
-    """Sign of omega on p_mu."""
-    return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +179,7 @@ def _from_p(basis, n):
     if basis in ("e", "f"):
         # omega swaps h with e and m with f, and omega p_mu = eps_mu p_mu.
         rows = {
-            mu: {lam: _eps(mu) * c for lam, c in row.items()}
+            mu: {lam: parity_sign(mu) * c for lam, c in row.items()}
             for mu, row in rows.items()
         }
     return rows
@@ -303,7 +298,7 @@ class SymFuncExpr:
         return SymFuncExpr(
             self._degree,
             "p",
-            {lam: c * _eps(lam.parts) for lam, c in self._terms.items()},
+            {lam: c * parity_sign(lam) for lam, c in self._terms.items()},
         )
 
     def to_json(self):

@@ -1,19 +1,18 @@
 """Exact coefficient arithmetic in the variable t.
 
-Three value types, all immutable:
+Two value types, both immutable:
 
 * ``TPoly``    integer polynomial, coefficients indexed by power of t;
-* ``TSeries``  power series truncated at a fixed order;
 * ``TRat``     reduced ratio of two integer polynomials.
 
 Every quantity this package ultimately reports is an integer polynomial in
 t.  ``TRat`` is the field of the eigenoperator oracle: rationals appear only
-inside its basis transitions and intermediates.  ``TSeries`` belongs to the
-formal series of ``specialize`` and the diagram count built on them.
-Nothing converts one into the other.  The polynomial arithmetic behind
-``TRat`` is over ``int`` alone: ``poly_gcd`` is Euclid on primitive parts
-with pseudo-remainders, ``divexact`` is integer long division, and a ratio
-with a constant numerator or denominator needs no gcd at all.
+inside its basis transitions and intermediates.  The formal series of
+``specialize`` are ``TPoly`` values truncated at their order.  The
+polynomial arithmetic behind ``TRat`` is over ``int`` alone: ``poly_gcd`` is
+Euclid on primitive parts with pseudo-remainders, ``divexact`` is integer
+long division, and a ratio with a constant numerator or denominator needs no
+gcd at all.
 """
 
 from __future__ import annotations
@@ -255,102 +254,6 @@ def divexact(a, b):
     return TPoly(quot)
 
 
-class TSeries:
-    """Integer power series in t truncated at ``order`` (inclusive).
-
-    Arithmetic never claims accuracy past the smaller operand order: sums
-    and products are truncated to it.
-    """
-
-    __slots__ = ("_order", "_c")
-
-    def __init__(self, coeffs, order):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        vals = list(coeffs)[: order + 1]
-        for x in vals:
-            if not isinstance(x, int):
-                raise TypeError("TSeries coefficients must be int")
-        vals += [0] * (order + 1 - len(vals))
-        self._order, self._c = order, tuple(vals)
-
-    @classmethod
-    def from_poly(cls, p, order):
-        return cls(_as_tpoly(p).coeffs, order)
-
-    @classmethod
-    def zero(cls, order):
-        return cls((), order)
-
-    @classmethod
-    def one(cls, order):
-        return cls((1,), order)
-
-    @property
-    def order(self):
-        return self._order
-
-    @property
-    def coeffs(self):
-        return self._c
-
-    def coeff(self, i):
-        if not 0 <= i <= self._order:
-            raise IndexError("coefficient %d beyond order %d" % (i, self._order))
-        return self._c[i]
-
-    def is_zero(self):
-        return not any(self._c)
-
-    def __eq__(self, other):
-        if isinstance(other, TSeries):
-            return self._order == other._order and self._c == other._c
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._order, self._c))
-
-    def __neg__(self):
-        return TSeries((-x for x in self._c), self._order)
-
-    def _coerce(self, other):
-        if isinstance(other, (TPoly, int)):
-            return TSeries.from_poly(_as_tpoly(other), self._order)
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        order = min(self._order, other._order)
-        return TSeries((self._c[i] + other._c[i] for i in range(order + 1)), order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        order = min(self._order, other._order)
-        out = [0] * (order + 1)
-        for i, a in enumerate(self._c[: order + 1]):
-            if a:
-                for j in range(order + 1 - i):
-                    b = other._c[j]
-                    if b:
-                        out[i + j] += a * b
-        return TSeries(out, order)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return "%r + O(t^%d)" % (TPoly(_strip(list(self._c))), self._order + 1)
-
-
 class TRat:
     """Reduced ratio of integer polynomials in t.
 
@@ -479,15 +382,3 @@ class TRat:
 
 
 RAT_ZERO = TRat(ZERO)
-
-
-def partitions_bounded_series(r, order):
-    """Series of partitions with largest part at most r, truncated at ``order``."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    c = [0] * (order + 1)
-    c[0] = 1
-    for j in range(1, r + 1):
-        for d in range(j, order + 1):
-            c[d] += c[d - j]
-    return TSeries(c, order)

@@ -215,6 +215,7 @@ def test_diagrams_up_to_counts_match_the_weight_series():
     # over the empty first stack and a second with parts <= 1
     assert diagram_count(1, [], 2) == (2, 2, 2)
     assert diagram_count(1, [1, 1, 1], 2) == (0, 0, 0)
+    assert diagram_count(1, [1], -1) == ()
     for k in (1, 2, 3):
         for n in range(5):
             for lam in partitions_of(n):

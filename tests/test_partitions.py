@@ -20,6 +20,13 @@ def test_normalization():
         Partition([2, -1])
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+def test_partition_refuses_non_integers(bad):
+    # Partition([2.5, 1]) used to read as Partition([2, 1]), and True as 1
+    with pytest.raises(TypeError):
+        Partition([bad, 1])
+
+
 def test_partitions_of_order_and_counts():
     assert [p.parts for p in partitions_of(0)] == [()]
     assert [p.parts for p in partitions_of(3)] == [(3,), (2, 1), (1, 1, 1)]

@@ -8,9 +8,11 @@ from deltaq1.specialize import (
     forgotten_coefficient_series,
     hf_term_series,
     monomial_eval,
+    partitions_bounded_series,
+    truncated,
 )
 from deltaq1.symfunc import SymFuncExpr, hall_inner
-from deltaq1.tarith import ONE, TPoly, TRat, TSeries, partitions_bounded_series
+from deltaq1.tarith import ONE, TPoly, TRat
 
 
 def _times_one_minus_t_alphabet(expr):
@@ -63,17 +65,65 @@ def test_forgotten_addition_formula_against_engine():
             assert hexp.coeff(mu) == TRat(forgotten_at_one_minus_t(mu))
 
 
+def test_truncated():
+    a, b = TPoly([1, 1, 1]), TPoly([1, -1])
+    assert truncated(3, a, b) == TPoly([1, 0, 0, -1])
+    assert truncated(5, a) == a
+    assert truncated(1, a) == TPoly([1, 1])
+    assert truncated(0) == ONE
+    # dropping terms early keeps every term up to the order
+    for order in range(8):
+        for factors in ([a, b], [a, a, b], [b, TPoly.t_power(3), a]):
+            full = ONE
+            for f in factors:
+                full = full * f
+            assert truncated(order, *factors) == TPoly(full.coeffs[: order + 1])
+
+
+def test_bounded_partition_series_examples():
+    assert partitions_bounded_series(0, 4) == ONE
+    assert partitions_bounded_series(1, 3) == TPoly([1, 1, 1, 1])
+    assert partitions_bounded_series(2, 4) == TPoly([1, 1, 2, 2, 3])
+
+
+def test_bounded_partition_series_inverts_the_product():
+    # the series inverts (1 - t)(1 - t^2)...(1 - t^r)
+    for r in range(9):
+        product = ONE
+        for j in range(1, r + 1):
+            product = product * (ONE - TPoly.t_power(j))
+        assert truncated(40, partitions_bounded_series(r, 40), product) == ONE
+
+
+def test_bounded_partition_series_recursion():
+    # removing the largest-part-equal-to-r partitions leaves the r-1 family:
+    # G_r = G_{r-1} + t^r G_r
+    for r in range(1, 9):
+        gr = partitions_bounded_series(r, 40)
+        assert truncated(40, gr, TPoly.t_power(r)) + (
+            partitions_bounded_series(r - 1, 40)) == gr
+
+
+def test_negative_order_is_refused():
+    for make in (
+        lambda: partitions_bounded_series(0, -1),
+        lambda: hf_term_series([], -1),
+        lambda: hf_term_series([2, 1], -1),
+        lambda: forgotten_coefficient_series([2, 1], 1, -1),
+        lambda: forgotten_coefficient_series([1, 1, 1], 1, -1),
+        lambda: truncated(-1, ONE),
+    ):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            make()
+
+
 def test_hf_term_series_examples():
-    assert hf_term_series(Partition([1]), 5) == TSeries.from_poly(ONE, 5)
-    assert hf_term_series(Partition([1, 1]), 3) == TSeries.from_poly(
-        TPoly([1, 1, 1, 1]), 3
-    )
+    assert hf_term_series(Partition([1]), 5) == ONE
+    assert hf_term_series(Partition([1, 1]), 3) == TPoly([1, 1, 1, 1])
     # G_2 * f_(2)[1-t] collapses to -1/(1-t)
-    assert hf_term_series(Partition([2]), 3) == TSeries.from_poly(
-        TPoly([-1, -1, -1, -1]), 3
-    )
+    assert hf_term_series(Partition([2]), 3) == TPoly([-1, -1, -1, -1])
     # the empty product times f_()[1-t] = 1
-    assert hf_term_series(Partition([]), 2) == TSeries.one(2)
+    assert hf_term_series(Partition([]), 2) == ONE
 
 
 def test_hf_term_series_double_route():
@@ -81,11 +131,9 @@ def test_hf_term_series_double_route():
     # series per part of mu, times the closed form of f_mu[1-t]
     for m in range(1, 8):
         for mu in partitions_of(m):
-            product = TSeries.one(30)
-            for part in mu:
-                product = product * partitions_bounded_series(part, 30)
+            factors = [partitions_bounded_series(part, 30) for part in mu]
             assert hf_term_series(mu, 30) == (
-                product * forgotten_at_one_minus_t(mu)
+                truncated(30, *factors, forgotten_at_one_minus_t(mu))
             ), mu
 
 
@@ -118,15 +166,34 @@ def test_monomial_eval_against_power_sum_route():
 
 
 def test_forgotten_coefficient_series_examples():
-    assert forgotten_coefficient_series([2], 1, 4) == TSeries.from_poly(
-        TPoly([1, 1]), 4
-    )
-    assert forgotten_coefficient_series([1, 1], 1, 4) == TSeries.from_poly(ONE, 4)
-    assert forgotten_coefficient_series([1], 1, 4) == TSeries.from_poly(ONE, 4)
+    assert forgotten_coefficient_series([2], 1, 4) == TPoly([1, 1])
+    assert forgotten_coefficient_series([1, 1], 1, 4) == ONE
+    assert forgotten_coefficient_series([1], 1, 4) == ONE
 
 
 def test_forgotten_coefficient_series_vanishes_when_long():
     assert forgotten_coefficient_series([1, 1, 1], 1, 6).is_zero()
+
+
+def test_series_are_truncated_at_their_order():
+    # below n(n-1)/2 the untruncated sums run past the order; the series
+    # keep every term up to it and none beyond
+    longer = 0
+    for n in range(2, 7):
+        bound = n * (n - 1) // 2
+        for k in range(1, n + 1):
+            for lam in partitions_of(n):
+                full = forgotten_coefficient_series(lam, k, bound)
+                for order in range(bound):
+                    series = forgotten_coefficient_series(lam, k, order)
+                    assert series.degree <= order
+                    assert series == truncated(order, full), (lam, k, order)
+                    longer += full.degree > order
+    assert longer
+    for m in range(1, 7):
+        for mu in partitions_of(m):
+            for order in range(m * (m - 1) // 2):
+                assert hf_term_series(mu, order).degree <= order
 
 
 def test_forgotten_coefficient_polynomiality():
@@ -147,7 +214,7 @@ def test_forgotten_coefficient_series_is_the_msequence_polynomial():
         for k in range(1, n + 1):
             for lam in partitions_of(n):
                 assert forgotten_coefficient_series(lam, k, order) == (
-                    TSeries.from_poly(msequence_polynomial(lam, k), order)
+                    truncated(order, msequence_polynomial(lam, k))
                 ), (lam, k)
 
 

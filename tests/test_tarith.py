@@ -6,9 +6,7 @@ from deltaq1.tarith import (
     ONE,
     TPoly,
     TRat,
-    TSeries,
     divexact,
-    partitions_bounded_series,
     poly_gcd,
 )
 
@@ -44,37 +42,6 @@ def test_poly_refuses_non_integers():
             TPoly.from_json(data)
     with pytest.raises(TypeError):
         TRat.from_json({"num": [1.7], "den": ["1"]})
-
-
-def test_bounded_partition_series_examples():
-    assert partitions_bounded_series(0, 4).coeffs == (1, 0, 0, 0, 0)
-    assert partitions_bounded_series(1, 3).coeffs == (1, 1, 1, 1)
-    assert partitions_bounded_series(2, 4).coeffs == (1, 1, 2, 2, 3)
-
-
-def test_bounded_rat_agrees_with_series():
-    # the series inverts (1 - t)(1 - t^2)...(1 - t^r)
-    for r in range(9):
-        product = ONE
-        for j in range(1, r + 1):
-            product = product * (ONE - TPoly.t_power(j))
-        assert partitions_bounded_series(r, 40) * product == TSeries.one(40)
-
-
-def test_bounded_rat_recursion():
-    # removing the largest-part-equal-to-r partitions leaves the r-1 family:
-    # G_r = G_{r-1} + t^r G_r
-    for r in range(1, 9):
-        gr = partitions_bounded_series(r, 40)
-        assert gr * TPoly.t_power(r) + partitions_bounded_series(r - 1, 40) == gr
-
-
-def test_series_truncation_rules():
-    a = TSeries.from_poly(TPoly([1, 1, 1]), 5)
-    b = TSeries.from_poly(TPoly([1, -1]), 3)
-    assert (a + b).order == 3
-    assert (a * b).order == 3
-    assert (a * b) == TSeries.from_poly(TPoly([1, 0, 0, -1]), 3)
 
 
 def test_rat_canonical_form():
