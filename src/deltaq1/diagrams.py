@@ -19,7 +19,10 @@ The public constructors ``ColumnStack(...)`` and ``LabeledDiagram(...)``
 check every rule above.  ``diagrams_up_to``, ``split`` and ``combine`` build
 their objects through the unchecked ``_of``, since they make them valid by
 construction; ``test_diagrams`` rebuilds what they make through the
-checking constructors.
+checking constructors.  ``split`` and ``combine`` write the partitions they
+make as already sorted tuples (``Partition._of``), and ``diagrams_up_to``
+builds each stack once per walk.  A stack keeps its weight and its hash,
+which the walk reads for every diagram.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .tarith import TPoly
 class ColumnStack:
     """One base row of ``row_len`` labeled cells with a partition above it."""
 
-    __slots__ = ("_row_len", "_above", "_labels")
+    __slots__ = ("_row_len", "_above", "_labels", "_weight", "_hash")
 
     def __init__(self, row_len, above, labels):
         (row_len,) = int_entries([row_len])
@@ -56,15 +59,20 @@ class ColumnStack:
             raise ValueError("labels must be nonnegative")
         if above and above[0] > row_len:
             raise ValueError("partition %r too wide for row of %d" % (above, row_len))
-        self._row_len, self._above, self._labels = row_len, above, labels
+        self._set(row_len, above, labels)
 
     @classmethod
     def _of(cls, row_len, above, labels):
         """Unchecked: ``above`` a Partition, ``labels`` a tuple of ints, and
         together a valid stack."""
         stack = object.__new__(cls)
-        stack._row_len, stack._above, stack._labels = row_len, above, labels
+        stack._set(row_len, above, labels)
         return stack
+
+    def _set(self, row_len, above, labels):
+        self._row_len, self._above, self._labels = row_len, above, labels
+        self._weight = above.size + sum(j * v for j, v in enumerate(labels))
+        self._hash = hash((row_len, above, labels))
 
     @property
     def row_len(self):
@@ -80,7 +88,7 @@ class ColumnStack:
 
     def weight(self):
         """Partition size plus positional label contributions."""
-        return self._above.size + sum(j * v for j, v in enumerate(self._labels))
+        return self._weight
 
     def full_rows(self):
         """Parts of the partition spanning the whole row."""
@@ -96,7 +104,7 @@ class ColumnStack:
         )
 
     def __hash__(self):
-        return hash((self._row_len, self._above, self._labels))
+        return self._hash
 
     def __repr__(self):
         return "ColumnStack(%d, %s, %s)" % (
@@ -152,15 +160,12 @@ class LabeledDiagram:
     def lam(self):
         return self._lam
 
-    @property
-    def m(self):
-        return sum(st.row_len for st in self._stacks)
-
     def sign(self):
-        return -1 if (self.m - len(self._stacks)) % 2 else 1
+        m = sum(st._row_len for st in self._stacks)
+        return -1 if (m - len(self._stacks)) % 2 else 1
 
     def weight(self):
-        return sum(st.weight() for st in self._stacks)
+        return sum(st._weight for st in self._stacks)
 
     def __eq__(self, other):
         if not isinstance(other, LabeledDiagram):
@@ -185,7 +190,7 @@ def can_combine(diagram, i):
     the column empty so the merged partition still fits strictly.
     """
     stacks = diagram.stacks
-    if not 0 <= i + 1 < len(stacks):
+    if not 0 <= i < len(stacks) - 1:
         raise IndexError("no stack follows index %d" % i)
     st = stacks[i]
     if st.row_len != 1:
@@ -200,15 +205,17 @@ def split(diagram, i):
     """Replace stack i (width > 1) by its last column over the last label,
     followed by the remainder widened with that many new full rows."""
     stacks = diagram.stacks
+    if not 0 <= i < len(stacks):
+        raise IndexError("no stack at index %d" % i)
     st = stacks[i]
     if st.row_len <= 1:
         raise ValueError("cannot split a single-cell stack")
-    r = st.row_len
-    column_height = st.above.multiplicity(r)
-    c = st.labels[-1]
-    head = ColumnStack._of(1, Partition([1] * column_height), (c,))
-    rest_parts = [p - 1 if p == r else p for p in st.above] + [r - 1] * c
-    tail = ColumnStack._of(r - 1, Partition(rest_parts), st.labels[:-1])
+    r, full, c = st.row_len, st.full_rows(), st.labels[-1]
+    # the full rows come first: each gives its last cell to the column, and
+    # c new full rows join them
+    head = ColumnStack._of(1, Partition._of((1,) * full), (c,))
+    rest = (r - 1,) * (full + c) + st.above.parts[full:]
+    tail = ColumnStack._of(r - 1, Partition._of(rest), st.labels[:-1])
     return LabeledDiagram._of(
         stacks[:i] + (head, tail) + stacks[i + 1 :], diagram.lam
     )
@@ -222,21 +229,12 @@ def combine(diagram, i):
     stacks = diagram.stacks
     st, nxt = stacks[i], stacks[i + 1]
     c, height = st.labels[0], st.above.size
-    r = nxt.row_len
-    parts = list(nxt.above.parts)
-    for _ in range(c):
-        parts.remove(r)
-    promoted = 0
-    merged = []
-    for p in sorted(parts, reverse=True):
-        if p == r and promoted < height:
-            merged.append(r + 1)
-            promoted += 1
-        else:
-            merged.append(p)
-    if promoted != height:
+    r, full = nxt.row_len, nxt.full_rows()
+    if c + height > full:
         raise AssertionError("combine lost column rows")
-    big = ColumnStack._of(r + 1, Partition(merged), nxt.labels + (c,))
+    # the full rows come first: c of them go, height more take the column
+    merged = (r + 1,) * height + (r,) * (full - c - height) + nxt.above.parts[full:]
+    big = ColumnStack._of(r + 1, Partition._of(merged), nxt.labels + (c,))
     return LabeledDiagram._of(stacks[:i] + (big,) + stacks[i + 2 :], diagram.lam)
 
 
@@ -260,22 +258,26 @@ def diagrams_up_to(k, lam, degree_max):
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if len(lam) > k + 1:
         return
+    # (row length, labels, cap) -> the stacks of each partition size s, for
+    # every s the labels leave room for; local, so the stacks die with the walk
+    table = {}
     for mu in partitions_of(k + 1):
         for arrangement in distinct_orderings(mu.parts):
             caps = (arrangement[0] - 1,) + arrangement[1:]
             ends = list(accumulate(arrangement))
             for flat in padded_rearrangements(lam, k + 1):
                 chunks = [flat[end - rl : end] for rl, end in zip(arrangement, ends)]
-                room = degree_max - sum(
-                    j * v for chunk in chunks for j, v in enumerate(chunk)
-                )
+                offsets = [sum(j * v for j, v in enumerate(chunk)) for chunk in chunks]
+                room = degree_max - sum(offsets)
                 # by_size[i][s]: the stacks at position i whose partition has size s
-                by_size = [
-                    [[ColumnStack._of(rl, above, chunk)
-                      for above in partitions_of(s, max_part=cap)]
-                     for s in range(room + 1)]
-                    for rl, chunk, cap in zip(arrangement, chunks, caps)
-                ]
+                by_size = []
+                for rl, chunk, cap, offset in zip(arrangement, chunks, caps, offsets):
+                    key = rl, chunk, cap
+                    if key not in table:
+                        table[key] = [[ColumnStack._of(rl, above, chunk)
+                                       for above in partitions_of(s, max_part=cap)]
+                                      for s in range(degree_max - offset + 1)]
+                    by_size.append(table[key])
                 # cuts: partial sums of the partition sizes, nondecreasing and
                 # at most room, in the lexicographic order of the size tuples
                 for cuts in combinations_with_replacement(range(room + 1), len(caps)):

@@ -33,6 +33,13 @@ class Partition:
             raise ValueError("partition parts must be nonnegative, got %r" % (parts,))
         self._parts = tuple(p for p in cleaned if p > 0)
 
+    @classmethod
+    def _of(cls, parts):
+        """Unchecked: ``parts`` a weakly decreasing tuple of positive ints."""
+        partition = object.__new__(cls)
+        partition._parts = parts
+        return partition
+
     @property
     def parts(self):
         return self._parts
@@ -141,25 +148,26 @@ def rearrangement_count(mu):
 
 
 def distinct_orderings(values):
-    """All distinct orderings of a multiset, in decreasing lexicographic order."""
-    values = tuple(values)
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    keys = sorted(counts, reverse=True)
+    """All distinct orderings of a multiset, in decreasing lexicographic order.
 
-    def rec(remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for v in keys:
-            if counts[v]:
-                counts[v] -= 1
-                for rest in rec(remaining - 1):
-                    yield (v,) + rest
-                counts[v] += 1
-
-    return list(rec(len(values)))
+    Each ordering is the lexicographic predecessor of the one before it: at
+    the last descent i, swap in the largest smaller value after i, then
+    reverse the tail after i (nondecreasing before, nonincreasing after)."""
+    perm = sorted(values, reverse=True)
+    out = [tuple(perm)]
+    last = len(perm) - 1
+    while True:
+        i = last - 1
+        while i >= 0 and perm[i] <= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = last
+        while perm[j] >= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
+        out.append(tuple(perm))
 
 
 def padded_rearrangements(lam, m):

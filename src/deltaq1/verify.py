@@ -141,7 +141,9 @@ def _involution_verdicts(n, k, lam, degree_max, audit):
     fixed = [[] for _ in signed]
     verdicts = [None] * len(signed)
     pairings = []
-    mates = {}  # partner -> the diagram that passed with it, not yet met
+    # partner -> the diagram that passed with it, not yet met; True in place
+    # of that diagram unless the audit pairings read it back
+    mates = {}
     for diagram in diagrams_up_to(k, lam, degree_max):
         w = diagram.weight()
         mate = mates.pop(diagram, None)
@@ -170,7 +172,7 @@ def _involution_verdicts(n, k, lam, degree_max, audit):
         elif involution(partner) != diagram:
             reason = "not an involution"
         else:
-            mates[partner] = diagram
+            mates[partner] = diagram if w == audit else True
             if w == audit:
                 pairings.append({"diagram": diagram.to_json(),
                                  "partner": partner.to_json()})
@@ -268,12 +270,13 @@ def _haglund(case, run):
 
 # The involution suite walks every labelled diagram of weight up to
 # degree_max; their number grows 3-10x per step of k, and each costs about
-# 25-40 us on a 2-core VM.  There n_max 10, k_max 3, degree_max 8 (472,682
-# diagrams) takes 17 s and n_max 5, k_max 4, degree_max 8 (684,633) 26 s.
-# A run is refused when its diagrams number more than _MAX_DIAGRAMS, about
-# 40 s there: n_max 10, k_max 4, degree_max 8 (5,910,597 diagrams; 428 s
-# before pairs were checked once) is refused at once.  The caps on k_max and
-# degree_max stay, so no option alone asks for an unbounded count.
+# 17-21 us on a 2-core VM.  There n_max 10, k_max 3, degree_max 8 (472,682
+# diagrams) takes 8.7-10.1 s and n_max 5, k_max 4, degree_max 8 (684,633)
+# 11.8-14.1 s.  A run is refused when its diagrams number more than
+# _MAX_DIAGRAMS, about 20 s there: n_max 10, k_max 4, degree_max 8
+# (5,910,597 diagrams; 428 s before pairs were checked once) is refused at
+# once.  The caps on k_max and degree_max stay, so no option alone asks for
+# an unbounded count.
 _MAX_K = 4
 _MAX_DEGREE = 8
 _MAX_DIAGRAMS = 1_000_000

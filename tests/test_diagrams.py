@@ -121,6 +121,28 @@ def test_can_combine_examples():
         can_combine(wide_at_one, 1)
 
 
+def test_split_and_combine_refuse_indices_out_of_range():
+    # a negative index used to reach the unchecked constructors: split(d, -1)
+    # built stacks of another weight, and combine(d, -1) merged the last
+    # stack with the first
+    one = LabeledDiagram(
+        [ColumnStack(1, [], (0,)), ColumnStack(2, [], (0, 1))], Partition([1])
+    )
+    pair = LabeledDiagram(
+        [ColumnStack(1, [], (0,)), ColumnStack(1, [], (0,))], Partition()
+    )
+    for i in (-3, -1, 2, 3):
+        with pytest.raises(IndexError):
+            split(one, i)
+    for i in (-3, -2, -1, 1, 2):
+        with pytest.raises(IndexError):
+            can_combine(pair, i)
+        with pytest.raises(IndexError):
+            combine(pair, i)
+    assert split(one, 1).weight() == one.weight()
+    assert len(combine(pair, 0).stacks) == 1
+
+
 def test_combine_requires_precondition():
     lam = Partition([2, 1])
     bad = LabeledDiagram(
@@ -242,7 +264,9 @@ def test_unchecked_diagrams_are_valid():
     # the enumerator and split/combine skip validation; every object they
     # build passes it and rebuilds to an equal object with an equal hash (a
     # list where a Partition or tuple belongs would compare equal but hash
-    # differently or not at all).  Cap 6 yields the diagrams of every
+    # differently or not at all, and an unsorted partition tuple would not
+    # compare equal).  The weights and hashes the stacks store agree with
+    # those of the rebuilt objects.  Cap 6 yields the diagrams of every
     # smaller cap too.
     for k in (1, 2, 3):
         for n in range(5):
@@ -253,6 +277,14 @@ def test_unchecked_diagrams_are_valid():
                             again = _rebuilt(built)
                             assert again == built
                             assert hash(again) == hash(built)
+                            assert again.weight() == built.weight()
+                            assert again.sign() == built.sign()
+                            for st, st_again in zip(built.stacks, again.stacks):
+                                assert st.weight() == st_again.weight() == (
+                                    st.above.size
+                                    + sum(j * v for j, v in enumerate(st.labels)))
+                                assert hash(st) == hash(st_again) == hash(
+                                    (st.row_len, st.above, st.labels))
 
 
 def test_diagrams_of_weight_edge_cases():

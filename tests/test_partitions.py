@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -71,6 +71,19 @@ def test_rearrangement_count_vs_enumeration():
             explicit = set(permutations(mu.parts))
             assert rearrangement_count(mu) == len(explicit)
             assert set(distinct_orderings(mu.parts)) == explicit
+
+
+def test_distinct_orderings_order_on_multisets():
+    # the previous-permutation step against the sorted distinct
+    # permutations, on the empty multiset, all-equal ones and mixed ones up
+    # to length 8
+    cases = [(), (3,), (0, 0, 0, 0, 0, 0, 0, 0), (8, 7, 6, 5, 4, 3, 2, 1),
+             (2, 2, 1, 1, 0, 0, 0, 0), (5, 1, 1, 1, 1, 1, 1, 0)]
+    cases += list(combinations_with_replacement(range(3), 6))
+    for values in cases:
+        expected = sorted(set(permutations(values)), reverse=True)
+        assert distinct_orderings(values) == expected
+        assert distinct_orderings(reversed(values)) == expected
 
 
 def test_padded_rearrangements():
