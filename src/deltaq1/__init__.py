@@ -26,7 +26,7 @@ from .symfunc import (
 from .specialize import (
     forgotten_at_one,
     forgotten_at_one_minus_t,
-    forgotten_coefficient_series,
+    forgotten_coefficient,
     hf_term_series,
     monomial_eval,
     partitions_bounded_series,

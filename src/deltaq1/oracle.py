@@ -12,7 +12,11 @@ that sum.  Everything is exact and entirely at q=1.
 from __future__ import annotations
 
 from .partitions import Partition, partitions_of
-from .specialize import _staircase_monomials, forgotten_at_one_minus_t
+from .specialize import (
+    _staircase_monomials,
+    forgotten_at_one_minus_t,
+    forgotten_coefficient,
+)
 from .symfunc import SymFuncExpr, _check_degree, hall_inner, plethysm_geometric
 from .tarith import ONE, TPoly, RAT_ZERO
 
@@ -90,11 +94,12 @@ def delta_general(fexpr, n):
 
 def haglund_check(n, k, fexpr):
     """Whether the inner product of the Delta image with fexpr matches the
-    dual evaluation: Delta for omega(fexpr) applied to e_{k+1}, paired with
-    the single-row Schur function."""
+    dual side, Delta for omega(fexpr) applied to e_{k+1} and paired with
+    h_{k+1}: the sum over lam of fexpr's f_lam coefficient times the formal
+    series ``forgotten_coefficient(lam, k)``, an exact polynomial."""
     if fexpr.degree != n:
         raise ValueError("expected an expression of degree %d" % n)
     lhs = hall_inner(delta_e(n, k), fexpr)
-    rhs_expr = delta_general(fexpr.omega(), k + 1)
-    rhs = hall_inner(rhs_expr, SymFuncExpr.basis_element("s", Partition([k + 1])))
+    rhs = sum((c * forgotten_coefficient(lam, k)
+               for lam, c in fexpr.convert("f").terms()), RAT_ZERO)
     return lhs == rhs

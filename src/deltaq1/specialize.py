@@ -4,8 +4,9 @@ coefficient series built from them.
 The key evaluations are f_mu at the one-letter alphabets 1 and 1-t, the
 series factor h_mu[1/(1-t)] * f_mu[1-t], the evaluation of a monomial
 symmetric function at the t-staircase alphabet of a partition, and the
-formal power series whose polynomial part is the forgotten-basis inner
-product of the Delta image.
+formal power series that sums to the forgotten-basis inner product of the
+Delta image.  ``forgotten_coefficient`` returns that inner product as an
+exact polynomial: the series times a known denominator, divided out.
 
 Each series is a ``TPoly`` truncated at its ``order``: ``truncated`` drops
 every term past t^order, from each factor before it multiplies, and
@@ -29,7 +30,7 @@ from .partitions import (
     partitions_of,
     rearrangement_count,
 )
-from .tarith import ONE, TPoly
+from .tarith import ONE, TPoly, divexact
 
 
 def _as_partition(mu):
@@ -62,11 +63,20 @@ def partitions_bounded_series(r, order):
     """Series of partitions with largest part at most r, truncated at ``order``."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    c = [1] + [0] * order
-    for j in range(1, r + 1):
-        for d in range(j, order + 1):
-            c[d] += c[d - j]
-    return truncated(order, TPoly(c))  # which refuses a negative order
+    return _bounded_series(1, (r,), order)
+
+
+def _bounded_series(c, parts, order):
+    """c times the product of the series of partitions with largest part at
+    most r, one for each r in ``parts``, truncated at ``order``.  That series
+    is 1 / ((1-t)(1-t^2)...(1-t^r)), and dividing by 1 - t^j is a running
+    sum with stride j."""
+    coeffs = [c] + [0] * order
+    for r in parts:
+        for j in range(1, r + 1):
+            for d in range(j, order + 1):
+                coeffs[d] += coeffs[d - j]
+    return truncated(order, TPoly(coeffs))  # which refuses a negative order
 
 
 def forgotten_at_one(mu):
@@ -105,10 +115,16 @@ def _removal_sum(mu, order):
     removal = TPoly()
     for value in sorted(set(mu.parts)):
         reduced = mu.remove(value)
-        term = truncated(order, partitions_bounded_series(value - 1, order),
-                         *(partitions_bounded_series(part, order) for part in reduced))
-        removal = removal + term * rearrangement_count(reduced)
+        removal = removal + _bounded_series(
+            rearrangement_count(reduced), (value - 1, *reduced), order)
     return removal * parity_sign(mu)
+
+
+def _monomial_degree(lam, mu):
+    """The degree of m_lam at the staircase alphabet of mu, when lam has at
+    most as many parts as mu has cells: the largest power pairs the largest
+    exponents with the largest parts."""
+    return sum(map(mul, sorted(_staircase_monomials(mu), reverse=True), lam))
 
 
 def monomial_eval(lam, mu):
@@ -119,8 +135,7 @@ def monomial_eval(lam, mu):
     if len(lam) > cells:
         return TPoly()
     exponents = _staircase_monomials(mu)
-    # the largest power pairs the largest exponents with the largest parts
-    coeffs = [0] * (1 + sum(map(mul, sorted(exponents, reverse=True), lam)))
+    coeffs = [0] * (1 + _monomial_degree(lam, mu))
     for arrangement in padded_rearrangements(lam, cells):
         coeffs[sum(map(mul, exponents, arrangement))] += 1
     return TPoly(coeffs)
@@ -135,13 +150,28 @@ def forgotten_series_terms(lam, k, order):
             for mu in partitions_of(k + 1)]
 
 
-def forgotten_coefficient_series(lam, k, order):
-    """The truncated series for the forgotten-basis coefficient of the
-    Delta image: the sum of ``forgotten_series_terms``.  A polynomial of
-    degree at most n(n-1)/2 hides inside, so any order at least that
-    determines it."""
+def forgotten_coefficient(lam, k):
+    """The forgotten-basis coefficient of the Delta image,
+    <Delta_{e_k} e_n, f_lam> at q=1, as an exact polynomial: the sum of
+    ``forgotten_series_terms`` times D = (t;t)_{k+1}, divided by D.  Raises
+    ValueError when D does not divide it, so the sum is no polynomial."""
     lam = _as_partition(lam)
     n = lam.size
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= %d, got k=%d" % (n, k))
-    return sum((term for _, term in forgotten_series_terms(lam, k, order)), TPoly())
+    # The term of mu |- k+1 is m_lam[B_mu] f_mu[1-t] / prod_i (t;t)_{mu_i}.
+    # Each prod_i (t;t)_{mu_i} divides D; the quotient is the t-multinomial
+    # of mu, of degree deg D - sum_i C(mu_i + 1, 2), and f_mu[1-t] has
+    # degree at most mu_1.  So the sum S times D is a polynomial N of degree
+    # at most deg D plus the largest deg m_lam[B_mu] + mu_1 - sum_i
+    # C(mu_i + 1, 2).  S and D cut at that degree multiply to N itself, and
+    # S = N / D exactly, a polynomial when the division leaves no remainder.
+    denominator = ONE
+    for j in range(1, k + 2):
+        denominator = denominator * (ONE - TPoly.t_power(j))
+    order = denominator.degree + max(
+        _monomial_degree(lam, mu) + mu[0] - sum(p * (p + 1) // 2 for p in mu)
+        for mu in partitions_of(k + 1))
+    series = sum((term for _, term in forgotten_series_terms(lam, k, order)),
+                 TPoly())
+    return divexact(truncated(order, series, denominator), denominator)

@@ -6,17 +6,21 @@ case, which returns the counterexample, both sides serialized, or None; and
 the largest n it can take.  ``run_suite`` checks the cases in order up to
 the first counterexample.  A suite with no cases reports "empty", never a
 vacuous "pass".  The checks of one run share ``run``, a dict of what later
-cases reuse: eq2's Dyck paths of one n, involution's walk of one (k, lam).
-``usage_problem`` is the one check of a suite's options, for ``run_suite``
-and the command line alike.  ``oracle_mismatches`` is the one comparison of
-the eigenoperator route with the models' basis expansion, for eq1, schur
-and ``expand --oracle``.
+cases reuse: eq2's Dyck paths of one n, haglund's Delta image of one
+(n, k), involution's walk of one (k, lam).  Haglund's identity reads the
+dual side off the formal series of ``specialize.forgotten_coefficient``,
+an exact polynomial, and hilbert reads the image's e-coefficients, so no
+suite takes an inner product.  ``usage_problem`` is the one check of a
+suite's options, for ``run_suite`` and the command line alike.
+``oracle_mismatches`` is the one comparison of the eigenoperator route with
+the models' basis expansion, for eq1, schur and ``expand --oracle``.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import accumulate
+from math import factorial, prod
 from typing import Callable, NamedTuple
 
 from .bijection import decorated_to_msequence, msequence_to_decorated
@@ -33,9 +37,10 @@ from .msequences import (
     msequences,
     osp_polynomial,
 )
-from .oracle import delta_e, haglund_check
-from .partitions import Partition, partitions_of
-from .symfunc import SymFuncExpr, degree_bound, hall_inner
+from .oracle import delta_e
+from .partitions import partitions_of
+from .specialize import forgotten_coefficient
+from .symfunc import degree_bound
 from .tarith import TPoly, TRat
 
 
@@ -220,15 +225,16 @@ def _involution(case, run):
 
 def _hilbert(case, run):
     """Ordered-set-partition polynomials against the oracle inner product
-    with the n-th power of the first power sum."""
+    with the n-th power of the first power sum, read off the e-expansion:
+    <e_lam, p_1^n> is the multinomial n! / prod_i lam_i!."""
     n, k = case
-    combinatorial = TRat(osp_polynomial(n, k))
-    p1n = SymFuncExpr.basis_element("p", Partition([1] * n))
-    via_oracle = hall_inner(delta_e(n, k), p1n)
+    combinatorial = osp_polynomial(n, k)
+    via_oracle = sum((c.as_poly() * (factorial(n) // prod(map(factorial, lam)))
+                      for lam, c in delta_e(n, k).terms()), TPoly())
     if combinatorial != via_oracle:
         return {"n": n, "k": k,
-                "osp_side": combinatorial.to_json(),
-                "oracle_side": via_oracle.to_json()}
+                "osp_side": TRat(combinatorial).to_json(),
+                "oracle_side": TRat(via_oracle).to_json()}
     return None
 
 
@@ -260,9 +266,18 @@ def _haglund_cases(n_max):
 
 def _haglund(case, run):
     """The duality between pairing with a forgotten element and applying the
-    Delta operator for its omega image, across all degrees and k."""
+    Delta operator for its omega image, across all degrees and k: each
+    e-coefficient of the image against the formal series, an exact
+    polynomial."""
     n, k, lam = case
-    if not haglund_check(n, k, SymFuncExpr.basis_element("f", lam)):
+    if lam == [n]:  # the first case of (n, k); the cases run in order
+        run["image"] = delta_e(n, k)
+    try:
+        series = forgotten_coefficient(lam, k)
+    except ValueError:  # the series sums to no polynomial
+        return {"n": n, "k": k, "partition": lam.to_json(),
+                "reason": "series is not a polynomial"}
+    if run["image"].coeff(lam) != TRat(series):
         return {"n": n, "k": k, "partition": lam.to_json(),
                 "reason": "identity fails"}
     return None
@@ -280,15 +295,28 @@ def _haglund(case, run):
 _MAX_K = 4
 _MAX_DEGREE = 8
 _MAX_DIAGRAMS = 1_000_000
+# An --audit run keeps the pairing of every diagram of the audit weight in
+# its report, about 12 KB of memory each on a 2-core VM: --audit 8 at the
+# defaults (21,442 diagrams, the largest weight there) peaks at 256 MB and
+# prints 29 MB in 4.9 s, and --n-max 5 --k-max 4 --audit 5 (76,501) peaks
+# at 971 MB and prints 112 MB.  A run whose audit weight holds more than
+# _MAX_AUDITED diagrams is refused.
+_MAX_AUDITED = 25_000
+
+
+def _diagram_counts(n_max, k_max, degree_max):
+    """The number of diagrams of each weight, per (k, lam) of an involution
+    run, in the order of its cases."""
+    return (diagram_count(k, lam, degree_max)
+            for n in range(1, n_max + 1)
+            for k in range(1, k_max + 1)
+            for lam in partitions_of(n))
 
 
 def _involution_too_large(n_max, k_max, degree_max):
     """Whether the walks of an involution run hold more than _MAX_DIAGRAMS
     diagrams; the count stops at the first (k, lam) past it."""
-    sizes = (sum(diagram_count(k, lam, degree_max))
-             for n in range(1, n_max + 1)
-             for k in range(1, k_max + 1)
-             for lam in partitions_of(n))
+    sizes = map(sum, _diagram_counts(n_max, k_max, degree_max))
     return any(total > _MAX_DIAGRAMS for total in accumulate(sizes))
 
 
@@ -308,17 +336,18 @@ SUITES = {
         _involution_cases, _involution),
     "hilbert": Suite({"n_max": 5}, _nk_cases, _hilbert),
     "schur": Suite({"n_max": 5}, _nk_cases, _schur),
-    # at k = n the dual side applies the Delta operator to e_{n+1}
-    "haglund": Suite({"n_max": 5}, _haglund_cases, _haglund,
-                     degree_bound() - 1),
+    # one Delta image per (n, k) and one series per case: on a 2-core VM
+    # n_max 8 takes about 3 s, 9 about 13 s and 10 about 50 s
+    "haglund": Suite({"n_max": 5}, _haglund_cases, _haglund, 9),
 }
 
 
 def usage_problem(name, options):
     """Why ``options``, the options given to suite ``name``, are unusable
     (n_max above the suite's ceiling, an option the suite does not read, a
-    value out of range, or an involution run over too many diagrams), or
-    None.  Options are named by their flags."""
+    value out of range, or an involution run over too many diagrams, or
+    over too many of the audit weight), or None.  Options are named by their
+    flags."""
     suite = SUITES[name]
     if options.get("n_max", 0) > suite.n_ceiling:
         return "need n <= %d" % suite.n_ceiling
@@ -332,10 +361,16 @@ def usage_problem(name, options):
             return "need %d <= %s <= %d" % (low, flag, high)
     if name == "involution":
         options = {**suite.options, **options}
-        if _involution_too_large(options["n_max"], options["k_max"],
-                                 options["degree_max"]):
+        walks = options["n_max"], options["k_max"], options["degree_max"]
+        if _involution_too_large(*walks):
             return ("need at most %d diagrams; lower --n-max, --k-max or "
                     "--degree-max" % _MAX_DIAGRAMS)
+        audit = options["audit"]
+        if audit is not None and sum(
+                counts[audit] for counts in _diagram_counts(*walks)
+        ) > _MAX_AUDITED:
+            return ("need at most %d diagrams of the --audit weight; lower "
+                    "--n-max, --k-max or --audit" % _MAX_AUDITED)
     return None
 
 

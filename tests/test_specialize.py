@@ -1,11 +1,13 @@
 import pytest
 
 from deltaq1.msequences import msequence_polynomial
+from deltaq1.oracle import delta_general
 from deltaq1.partitions import Partition, partitions_of
 from deltaq1.specialize import (
     forgotten_at_one,
     forgotten_at_one_minus_t,
-    forgotten_coefficient_series,
+    forgotten_coefficient,
+    forgotten_series_terms,
     hf_term_series,
     monomial_eval,
     partitions_bounded_series,
@@ -109,8 +111,8 @@ def test_negative_order_is_refused():
         lambda: partitions_bounded_series(0, -1),
         lambda: hf_term_series([], -1),
         lambda: hf_term_series([2, 1], -1),
-        lambda: forgotten_coefficient_series([2, 1], 1, -1),
-        lambda: forgotten_coefficient_series([1, 1, 1], 1, -1),
+        lambda: forgotten_series_terms([2, 1], 1, -1),
+        lambda: forgotten_series_terms([1, 1, 1], 1, -1),
         lambda: truncated(-1, ONE),
     ):
         with pytest.raises(ValueError, match="order must be nonnegative"):
@@ -166,29 +168,30 @@ def test_monomial_eval_against_power_sum_route():
 
 
 def test_forgotten_coefficient_series_examples():
-    assert forgotten_coefficient_series([2], 1, 4) == TPoly([1, 1])
-    assert forgotten_coefficient_series([1, 1], 1, 4) == ONE
-    assert forgotten_coefficient_series([1], 1, 4) == ONE
+    assert forgotten_coefficient([2], 1) == TPoly([1, 1])
+    assert forgotten_coefficient([1, 1], 1) == ONE
+    assert forgotten_coefficient([1], 1) == ONE
 
 
 def test_forgotten_coefficient_series_vanishes_when_long():
-    assert forgotten_coefficient_series([1, 1, 1], 1, 6).is_zero()
+    assert forgotten_coefficient([1, 1, 1], 1).is_zero()
 
 
 def test_series_are_truncated_at_their_order():
-    # below n(n-1)/2 the untruncated sums run past the order; the series
+    # below n(n-1)/2 the untruncated terms run past the order; the series
     # keep every term up to it and none beyond
     longer = 0
     for n in range(2, 7):
         bound = n * (n - 1) // 2
         for k in range(1, n + 1):
             for lam in partitions_of(n):
-                full = forgotten_coefficient_series(lam, k, bound)
+                full = forgotten_series_terms(lam, k, bound)
                 for order in range(bound):
-                    series = forgotten_coefficient_series(lam, k, order)
-                    assert series.degree <= order
-                    assert series == truncated(order, full), (lam, k, order)
-                    longer += full.degree > order
+                    for (mu, term), (nu, whole) in zip(
+                            forgotten_series_terms(lam, k, order), full):
+                        assert mu == nu and term.degree <= order
+                        assert term == truncated(order, whole), (lam, k, mu)
+                        longer += whole.degree > order
     assert longer
     for m in range(1, 7):
         for mu in partitions_of(m):
@@ -197,29 +200,43 @@ def test_series_are_truncated_at_their_order():
 
 
 def test_forgotten_coefficient_polynomiality():
+    # the series sums to a polynomial of degree at most n(n-1)/2: cut at any
+    # order past that, it is the exact coefficient
     for n in range(2, 6):
         bound = n * (n - 1) // 2
         for k in range(1, n + 1):
             for lam in partitions_of(n):
-                series = forgotten_coefficient_series(lam, k, bound + 5)
-                for d in range(bound + 1, bound + 6):
-                    assert series.coeff(d) == 0
+                exact = forgotten_coefficient(lam, k)
+                assert exact.degree <= bound
+                for order in range(bound + 1, bound + 6):
+                    terms = forgotten_series_terms(lam, k, order)
+                    assert sum((term for _, term in terms), TPoly()) == exact
 
 
 def test_forgotten_coefficient_series_is_the_msequence_polynomial():
     # the signed diagram series against the M-polynomial, with no oracle:
-    # both are the e_lam coefficient of the Delta image
+    # both are the e_lam coefficient of the Delta image, compared exactly
     for n in range(1, 7):
-        order = n * (n - 1) // 2
         for k in range(1, n + 1):
             for lam in partitions_of(n):
-                assert forgotten_coefficient_series(lam, k, order) == (
-                    truncated(order, msequence_polynomial(lam, k))
-                ), (lam, k)
+                assert forgotten_coefficient(lam, k) == (
+                    msequence_polynomial(lam, k)), (lam, k)
+
+
+def test_forgotten_coefficient_is_the_dual_delta_image():
+    # Haglund's dual side, through the oracle: Delta for m_lam applied to
+    # e_{k+1}, paired with s_{k+1}
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            row = SymFuncExpr.basis_element("s", [k + 1])
+            for lam in partitions_of(n):
+                image = delta_general(SymFuncExpr.basis_element("m", lam), k + 1)
+                assert TRat(forgotten_coefficient(lam, k)) == (
+                    hall_inner(image, row)), (lam, k)
 
 
 def test_forgotten_coefficient_range_checks():
     with pytest.raises(ValueError):
-        forgotten_coefficient_series([2, 1], 0, 4)
+        forgotten_coefficient([2, 1], 0)
     with pytest.raises(ValueError):
-        forgotten_coefficient_series([2, 1], 4, 4)
+        forgotten_coefficient([2, 1], 4)

@@ -7,14 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaq1 import verify
+from deltaq1 import oracle, specialize, symfunc, verify
 from deltaq1.cli import _MAX_ROWS, main
 from deltaq1.diagrams import ColumnStack, LabeledDiagram, diagrams_up_to
 from deltaq1.oracle import haglund_check
 from deltaq1.partitions import Partition, partitions_of
+from deltaq1.specialize import truncated
 from deltaq1.symfunc import SymFuncExpr
 from deltaq1.tarith import TPoly
-from deltaq1.verify import _MAX_DEGREE, _MAX_DIAGRAMS, _MAX_K, run_suite
+from deltaq1.verify import (
+    _MAX_AUDITED,
+    _MAX_DEGREE,
+    _MAX_DIAGRAMS,
+    _MAX_K,
+    run_suite,
+)
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +59,10 @@ def test_suite_without_cases_does_not_pass():
     ("involution", {"n_max": 10, "k_max": 4, "degree_max": 8},
      "need at most %d diagrams; lower --n-max, --k-max or --degree-max"
      % _MAX_DIAGRAMS),
+    # inside the diagram budget, but 230,394 diagrams of weight 8 to report
+    ("involution", {"n_max": 5, "k_max": 4, "audit": 8},
+     "need at most %d diagrams of the --audit weight; lower --n-max, "
+     "--k-max or --audit" % _MAX_AUDITED),
 ])
 def test_run_suite_refuses_unusable_options_before_any_case(
     monkeypatch, name, options, problem
@@ -59,7 +70,7 @@ def test_run_suite_refuses_unusable_options_before_any_case(
     def no_case(*args):
         raise AssertionError("a case ran")
 
-    for layer in ("delta_e", "diagrams_up_to", "haglund_check"):
+    for layer in ("delta_e", "diagrams_up_to", "forgotten_coefficient"):
         monkeypatch.setattr(verify, layer, no_case)
     with pytest.raises(ValueError) as exc:
         run_suite(name, **options)
@@ -166,9 +177,53 @@ def test_verify_checks_its_options_once(capsys, monkeypatch):
 
 
 def test_haglund_suite_stops_below_the_degree_bound(capsys):
-    # at k = n the dual side of the identity has degree n + 1
+    # its ceiling is a measured time: n_max 10 takes about 50 s
     assert "n <= 9" in usage_error(capsys, "verify", "haglund", "--n-max", "10")
     assert haglund_check(9, 9, SymFuncExpr.basis_element("f", [9]))
+
+
+def test_haglund_and_hilbert_read_one_image_per_case(monkeypatch):
+    # one Delta image per (n, k), and no inner product or Delta image of
+    # another degree
+    real, calls = verify.delta_e, []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return real(n, k)
+
+    def no_call(*args):
+        raise AssertionError("an inner product or a second oracle route")
+
+    monkeypatch.setattr(verify, "delta_e", counted)
+    monkeypatch.setattr(oracle, "delta_general", no_call)
+    monkeypatch.setattr(oracle, "hall_inner", no_call)
+    monkeypatch.setattr(symfunc, "hall_inner", no_call)
+    for name in ("haglund", "hilbert"):
+        calls.clear()
+        report = run_suite(name)
+        assert report["status"] == "pass"
+        assert len(calls) == len(set(calls)) == 15
+
+
+def test_haglund_suite_reports_a_series_that_is_no_polynomial(
+    capsys, monkeypatch
+):
+    # a term off by t^(n(n-1)/2 + 1), past the degree of the polynomial:
+    # the series is compared exactly, not at an order the caller picks
+    real = specialize.forgotten_series_terms
+
+    def off(lam, k, order):
+        (mu, term), *rest = real(lam, k, order)
+        bump = TPoly.t_power(lam.size * (lam.size - 1) // 2 + 1)
+        return [(mu, truncated(order, term + bump)), *rest]
+
+    monkeypatch.setattr(specialize, "forgotten_series_terms", off)
+    code, out, _ = run_cli(capsys, "verify", "haglund", "--n-max", "3")
+    report = json.loads(out)
+    assert (code, report["status"]) == (1, "fail")
+    assert report["counterexample"] == {
+        "n": 1, "k": 1, "partition": [1],
+        "reason": "series is not a polynomial"}
 
 
 def test_verify_rejects_unread_and_out_of_range_options(capsys):
