@@ -27,9 +27,7 @@ from .specialize import (
     forgotten_at_one,
     forgotten_at_one_minus_t,
     forgotten_coefficient,
-    hf_term_series,
     monomial_eval,
-    partitions_bounded_series,
 )
 from .dyck import (
     DecoratedDyckPath,

@@ -6,9 +6,10 @@ drawn above it.  The multiset of row lengths rearranges a partition of
 k+1; the nonzero labels place the parts of a global partition lam, one per
 cell.  The first stack's partition must fit strictly inside its row.
 
-The diagrams of (k, lam) of each weight are counted by the terms of the
-formal series of ``specialize`` with their signs undone; the involution
-cancels the signed series down to the M-polynomial.
+The diagrams of (k, lam) are counted by weight by the numerators of
+``specialize.forgotten_series_terms``, with their signs undone, over their
+common denominator (t;t)_{k+1}; the involution cancels the signed count
+down to the M-polynomial.
 
 Splitting a wide stack peels off its last column; combining undoes it.
 Scanning left to right for the first applicable move pairs every diagram
@@ -291,13 +292,19 @@ def diagrams_up_to(k, lam, degree_max):
 
 def diagram_count(k, lam, degree_max):
     """The number of diagrams of (k, lam) of each weight 0..degree_max,
-    without building one: the terms of ``forgotten_series_terms`` summed
-    with their signs undone."""
+    without building one: the numerators of ``forgotten_series_terms``
+    summed with their signs undone, cut at degree_max, and divided as a
+    series by their common denominator (t;t)_{k+1}.  Dividing by 1 - t^j is
+    a running sum with stride j."""
     if degree_max < 0:
         return ()
-    counts = sum((parity_sign(mu) * term
-                  for mu, term in forgotten_series_terms(lam, k, degree_max)), TPoly())
-    return counts.coeffs + (0,) * (degree_max - counts.degree)
+    numerator = sum((parity_sign(mu) * term
+                     for mu, term in forgotten_series_terms(lam, k)), TPoly())
+    counts = [numerator.coeff(d) for d in range(degree_max + 1)]
+    for j in range(1, k + 2):
+        for d in range(j, degree_max + 1):
+            counts[d] += counts[d - j]
+    return tuple(counts)
 
 
 def diagrams_of_weight(k, lam, d):

@@ -95,8 +95,8 @@ def delta_general(fexpr, n):
 def haglund_check(n, k, fexpr):
     """Whether the inner product of the Delta image with fexpr matches the
     dual side, Delta for omega(fexpr) applied to e_{k+1} and paired with
-    h_{k+1}: the sum over lam of fexpr's f_lam coefficient times the formal
-    series ``forgotten_coefficient(lam, k)``, an exact polynomial."""
+    h_{k+1}: the sum over lam of fexpr's f_lam coefficient times
+    ``forgotten_coefficient(lam, k)``, an exact polynomial."""
     if fexpr.degree != n:
         raise ValueError("expected an expression of degree %d" % n)
     lhs = hall_inner(delta_e(n, k), fexpr)

@@ -2,14 +2,15 @@
 
 Each row of ``SUITES`` is a suite: its options with their defaults, in
 report order; its case list, a function of those options; the check of one
-case, which returns the counterexample, both sides serialized, or None; and
-the largest n it can take.  ``run_suite`` checks the cases in order up to
-the first counterexample.  A suite with no cases reports "empty", never a
-vacuous "pass".  The checks of one run share ``run``, a dict of what later
-cases reuse: eq2's Dyck paths of one n, haglund's Delta image of one
-(n, k), involution's walk of one (k, lam).  Haglund's identity reads the
-dual side off the formal series of ``specialize.forgotten_coefficient``,
-an exact polynomial, and hilbert reads the image's e-coefficients, so no
+case, which returns the counterexample, both sides serialized, or None.
+Every suite takes n up to the degree bound.  ``run_suite`` checks the
+cases in order up to the first counterexample.  A suite with no cases
+reports "empty", never a vacuous "pass".  The checks of one run share
+``run``, a dict of what later cases reuse: eq2's Dyck paths of one n,
+haglund's Delta image of one (n, k), involution's walk of one (k, lam).
+Haglund's identity reads the dual side off
+``specialize.forgotten_coefficient``, exact numerators divided by their
+common denominator, and hilbert reads the image's e-coefficients, so no
 suite takes an inner product.  ``usage_problem`` is the one check of a
 suite's options, for ``run_suite`` and the command line alike.
 ``oracle_mismatches`` is the one comparison of the eigenoperator route with
@@ -267,8 +268,8 @@ def _haglund_cases(n_max):
 def _haglund(case, run):
     """The duality between pairing with a forgotten element and applying the
     Delta operator for its omega image, across all degrees and k: each
-    e-coefficient of the image against the formal series, an exact
-    polynomial."""
+    e-coefficient of the image against the forgotten-basis coefficient, an
+    exact polynomial."""
     n, k, lam = case
     if lam == [n]:  # the first case of (n, k); the cases run in order
         run["image"] = delta_e(n, k)
@@ -324,7 +325,6 @@ class Suite(NamedTuple):
     options: dict
     cases: Callable
     check: Callable
-    n_ceiling: int = degree_bound()
 
 
 SUITES = {
@@ -336,21 +336,19 @@ SUITES = {
         _involution_cases, _involution),
     "hilbert": Suite({"n_max": 5}, _nk_cases, _hilbert),
     "schur": Suite({"n_max": 5}, _nk_cases, _schur),
-    # one Delta image per (n, k) and one series per case: on a 2-core VM
-    # n_max 8 takes about 3 s, 9 about 13 s and 10 about 50 s
-    "haglund": Suite({"n_max": 5}, _haglund_cases, _haglund, 9),
+    "haglund": Suite({"n_max": 5}, _haglund_cases, _haglund),
 }
 
 
 def usage_problem(name, options):
     """Why ``options``, the options given to suite ``name``, are unusable
-    (n_max above the suite's ceiling, an option the suite does not read, a
+    (n_max above the degree bound, an option the suite does not read, a
     value out of range, or an involution run over too many diagrams, or
     over too many of the audit weight), or None.  Options are named by their
     flags."""
     suite = SUITES[name]
-    if options.get("n_max", 0) > suite.n_ceiling:
-        return "need n <= %d" % suite.n_ceiling
+    if options.get("n_max", 0) > degree_bound():
+        return "need n <= %d" % degree_bound()
     degree_max = options.get("degree_max", suite.options.get("degree_max"))
     for option, low, high in (("k_max", 1, _MAX_K), ("audit", 0, degree_max),
                               ("degree_max", 0, _MAX_DEGREE)):

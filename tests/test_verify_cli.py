@@ -12,7 +12,6 @@ from deltaq1.cli import _MAX_ROWS, main
 from deltaq1.diagrams import ColumnStack, LabeledDiagram, diagrams_up_to
 from deltaq1.oracle import haglund_check
 from deltaq1.partitions import Partition, partitions_of
-from deltaq1.specialize import truncated
 from deltaq1.symfunc import SymFuncExpr
 from deltaq1.tarith import TPoly
 from deltaq1.verify import (
@@ -49,7 +48,7 @@ def test_suite_without_cases_does_not_pass():
 @pytest.mark.parametrize("name, options, problem", [
     ("eq1", {"n_max": 11}, "need n <= 10"),
     ("hilbert", {"n_max": 11}, "need n <= 10"),
-    ("haglund", {"n_max": 10}, "need n <= 9"),
+    ("haglund", {"n_max": 11}, "need n <= 10"),
     ("involution", {"n_max": 3, "k_max": 60, "degree_max": 3},
      "need 1 <= --k-max <= %d" % _MAX_K),
     # an audit above degree_max would report no pairings and pass
@@ -177,9 +176,10 @@ def test_verify_checks_its_options_once(capsys, monkeypatch):
 
 
 def test_haglund_suite_stops_below_the_degree_bound(capsys):
-    # its ceiling is a measured time: n_max 10 takes about 50 s
-    assert "n <= 9" in usage_error(capsys, "verify", "haglund", "--n-max", "10")
+    # it takes n up to the degree bound, where the oracle stops
+    assert "n <= 10" in usage_error(capsys, "verify", "haglund", "--n-max", "11")
     assert haglund_check(9, 9, SymFuncExpr.basis_element("f", [9]))
+    assert haglund_check(10, 10, SymFuncExpr.basis_element("f", [10]))
 
 
 def test_haglund_and_hilbert_read_one_image_per_case(monkeypatch):
@@ -208,14 +208,14 @@ def test_haglund_and_hilbert_read_one_image_per_case(monkeypatch):
 def test_haglund_suite_reports_a_series_that_is_no_polynomial(
     capsys, monkeypatch
 ):
-    # a term off by t^(n(n-1)/2 + 1), past the degree of the polynomial:
-    # the series is compared exactly, not at an order the caller picks
+    # a numerator off by t^(n(n-1)/2 + 1), which (t;t)_{k+1} does not
+    # divide: the sum is divided exactly, and the remainder is not dropped
     real = specialize.forgotten_series_terms
 
-    def off(lam, k, order):
-        (mu, term), *rest = real(lam, k, order)
+    def off(lam, k):
+        (mu, term), *rest = real(lam, k)
         bump = TPoly.t_power(lam.size * (lam.size - 1) // 2 + 1)
-        return [(mu, truncated(order, term + bump)), *rest]
+        return [(mu, term + bump), *rest]
 
     monkeypatch.setattr(specialize, "forgotten_series_terms", off)
     code, out, _ = run_cli(capsys, "verify", "haglund", "--n-max", "3")
