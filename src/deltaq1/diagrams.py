@@ -162,8 +162,7 @@ class LabeledDiagram:
         return self._lam
 
     def sign(self):
-        m = sum(st._row_len for st in self._stacks)
-        return -1 if (m - len(self._stacks)) % 2 else 1
+        return parity_sign([st._row_len for st in self._stacks])
 
     def weight(self):
         return sum(st._weight for st in self._stacks)
@@ -231,8 +230,6 @@ def combine(diagram, i):
     st, nxt = stacks[i], stacks[i + 1]
     c, height = st.labels[0], st.above.size
     r, full = nxt.row_len, nxt.full_rows()
-    if c + height > full:
-        raise AssertionError("combine lost column rows")
     # the full rows come first: c of them go, height more take the column
     merged = (r + 1,) * height + (r,) * (full - c - height) + nxt.above.parts[full:]
     big = ColumnStack._of(r + 1, Partition._of(merged), nxt.labels + (c,))

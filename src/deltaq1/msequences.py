@@ -109,8 +109,7 @@ def generic_polynomial(terms, k, memo=None):
     memo = {} if memo is None else memo
     acc = []
     for coeff, mu in terms:
-        if not isinstance(coeff, int):
-            raise TypeError("m-coefficient %r is not an integer" % (coeff,))
+        int_entries([coeff])
         key = (mu if isinstance(mu, Partition) else Partition(mu), k)
         if key not in memo:
             memo[key] = _budget_functional(*key)

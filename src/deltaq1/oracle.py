@@ -7,17 +7,17 @@ the plethystic evaluation of f at the t-staircase alphabet of mu.  The
 plethysm X -> X/(1-t) is linear, so the image is one map: the eigenvalues
 weight the h_mu coefficients f_mu[1-t], and the plethysm is applied once to
 that sum.  Everything is exact and entirely at q=1.
+
+The oracle takes only the staircase alphabet and f_mu[1-t] from
+``specialize``, never another route's answer: ``verify`` compares its image
+with the models and with the forgotten-basis series.
 """
 
 from __future__ import annotations
 
 from .partitions import Partition, partitions_of
-from .specialize import (
-    _staircase_monomials,
-    forgotten_at_one_minus_t,
-    forgotten_coefficient,
-)
-from .symfunc import SymFuncExpr, _check_degree, hall_inner, plethysm_geometric
+from .specialize import _staircase_monomials, forgotten_at_one_minus_t
+from .symfunc import SymFuncExpr, _check_degree, plethysm_geometric
 from .tarith import ONE, TPoly, RAT_ZERO
 
 
@@ -91,15 +91,3 @@ def delta_general(fexpr, n):
     pexpr = fexpr.convert("p")
     return _geometric_image(n, lambda mu: eval_at_staircase(pexpr, mu))
 
-
-def haglund_check(n, k, fexpr):
-    """Whether the inner product of the Delta image with fexpr matches the
-    dual side, Delta for omega(fexpr) applied to e_{k+1} and paired with
-    h_{k+1}: the sum over lam of fexpr's f_lam coefficient times
-    ``forgotten_coefficient(lam, k)``, an exact polynomial."""
-    if fexpr.degree != n:
-        raise ValueError("expected an expression of degree %d" % n)
-    lhs = hall_inner(delta_e(n, k), fexpr)
-    rhs = sum((c * forgotten_coefficient(lam, k)
-               for lam, c in fexpr.convert("f").terms()), RAT_ZERO)
-    return lhs == rhs

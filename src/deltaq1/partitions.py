@@ -3,7 +3,7 @@
 Partitions are the indexing objects for every basis, diagram and model in
 this package.  They are normalized at construction (zeros dropped, parts
 sorted decreasingly) so that equality is structural.  ``int_entries`` is
-the integer check of the object constructors built on them.
+the package's one integer check.
 """
 
 from __future__ import annotations

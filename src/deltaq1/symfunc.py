@@ -185,16 +185,6 @@ def _from_p(basis, n):
     return rows
 
 
-def _coerce_coeff(c):
-    if isinstance(c, TRat):
-        return c
-    if isinstance(c, (TPoly, int)):
-        return TRat(c)
-    if isinstance(c, Fraction):
-        return TRat.from_fraction(c)
-    raise TypeError("cannot use %r as a coefficient" % (c,))
-
-
 class SymFuncExpr:
     """A homogeneous symmetric function: basis tag plus a finite map from
     partitions of the degree to TRat coefficients (zeros pruned)."""
@@ -209,9 +199,11 @@ class SymFuncExpr:
             lam = lam if isinstance(lam, Partition) else Partition(lam)
             if lam.size != degree:
                 raise ValueError("%r is not a partition of %d" % (lam, degree))
-            c = _coerce_coeff(c)
-            if not c.is_zero():
-                clean[lam] = c
+            coeff = TRat._coerce(c)
+            if coeff is None:
+                raise TypeError("cannot use %r as a coefficient" % (c,))
+            if not coeff.is_zero():
+                clean[lam] = coeff
         self._degree, self._basis, self._terms = degree, basis, clean
 
     @classmethod
@@ -282,24 +274,6 @@ class SymFuncExpr:
             for lam, scalar in from_p[mu].items():
                 out[lam] = out.get(lam, RAT_ZERO) + c * TRat.from_fraction(scalar)
         return SymFuncExpr(self._degree, target, out)
-
-    def omega(self):
-        """The standard involution: e <-> h, m <-> f, s_lam -> s_lam',
-        p_r -> (-1)^(r-1) p_r."""
-        swap = {"e": "h", "h": "e", "m": "f", "f": "m"}
-        if self._basis in swap:
-            return SymFuncExpr(self._degree, swap[self._basis], self._terms)
-        if self._basis == "s":
-            return SymFuncExpr(
-                self._degree,
-                "s",
-                {lam.conjugate(): c for lam, c in self._terms.items()},
-            )
-        return SymFuncExpr(
-            self._degree,
-            "p",
-            {lam: c * parity_sign(lam) for lam, c in self._terms.items()},
-        )
 
     def to_json(self):
         out = []

@@ -20,6 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 
+from .partitions import int_entries
+
 
 def _strip(coeffs):
     out = list(coeffs)
@@ -34,12 +36,7 @@ class TPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=()):
-        vals = []
-        for x in coeffs:
-            if type(x) is not int:  # a bool is not
-                raise TypeError("TPoly coefficients must be int, got %r" % (x,))
-            vals.append(x)
-        self._c = tuple(_strip(vals))
+        self._c = tuple(_strip(int_entries(coeffs)))
 
     @classmethod
     def const(cls, c):

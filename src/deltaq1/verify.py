@@ -290,9 +290,8 @@ def _haglund(case, run):
 # diagrams) takes 8.7-10.1 s and n_max 5, k_max 4, degree_max 8 (684,633)
 # 11.8-14.1 s.  A run is refused when its diagrams number more than
 # _MAX_DIAGRAMS, about 20 s there: n_max 10, k_max 4, degree_max 8
-# (5,910,597 diagrams; 428 s before pairs were checked once) is refused at
-# once.  The caps on k_max and degree_max stay, so no option alone asks for
-# an unbounded count.
+# (5,910,597 diagrams) is refused at once.  The caps on k_max and
+# degree_max stay, so no option alone asks for an unbounded count.
 _MAX_K = 4
 _MAX_DEGREE = 8
 _MAX_DIAGRAMS = 1_000_000

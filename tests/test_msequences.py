@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -213,8 +214,10 @@ def test_generic_polynomial_examples():
     assert generic_polynomial([], 1) == TPoly()
     # m_111 vanishes in k+1 = 2 variables
     assert generic_polynomial([(1, [1, 1, 1])], 1) == TPoly()
-    with pytest.raises(TypeError):
-        generic_polynomial([(Fraction(1, 2), [2])], 1)
+    # a bool is no integer coefficient, though isinstance(True, int) holds
+    for coeff in (True, Fraction(1, 2)):
+        with pytest.raises(TypeError, match=re.escape("not %r" % (coeff,))):
+            generic_polynomial([(coeff, (1,))], 1)
     memo = {}
     generic_polynomial([(3, [2]), (1, [2])], 1, memo)
     assert memo == {(Partition([2]), 1): TPoly([1, 1])}

@@ -11,10 +11,15 @@ from deltaq1.oracle import (
     delta_general,
     elementary_eigenvalue,
     eval_at_staircase,
-    haglund_check,
 )
 from deltaq1.partitions import Partition, partitions_of
-from deltaq1.symfunc import SymFuncExpr, degree_bound, plethysm_geometric
+from deltaq1.specialize import forgotten_coefficient
+from deltaq1.symfunc import (
+    SymFuncExpr,
+    degree_bound,
+    hall_inner,
+    plethysm_geometric,
+)
 from deltaq1.tarith import ONE, TPoly, TRat
 
 
@@ -59,7 +64,7 @@ def test_delta_range_checks():
     with pytest.raises(ValueError):
         delta_e(2, 3)
     with pytest.raises(ValueError):
-        delta_e(11, 1)
+        delta_e(degree_bound() + 1, 1)
 
 
 def test_delta_general_refuses_a_degree_over_the_bound(monkeypatch):
@@ -97,17 +102,19 @@ def test_delta_general_extends_delta_e():
 
 
 def test_haglund_examples():
-    assert haglund_check(2, 1, elem("f", [2]))
-    assert haglund_check(2, 1, elem("f", [1, 1]))
-    with pytest.raises(ValueError):
-        haglund_check(2, 1, elem("f", [2, 1]))
+    # the Delta image paired with f_lam is the forgotten-basis coefficient
+    for lam in ([2], [1, 1]):
+        assert hall_inner(delta_e(2, 1), elem("f", lam)) == TRat(
+            forgotten_coefficient(lam, 1))
 
 
 def test_haglund_small_range():
     for n in range(1, 5):
         for k in range(1, n + 1):
+            image = delta_e(n, k)
             for lam in partitions_of(n):
-                assert haglund_check(n, k, elem("f", lam))
+                assert hall_inner(image, elem("f", lam)) == TRat(
+                    forgotten_coefficient(lam, k))
 
 
 def test_each_image_applies_the_plethysm_once(monkeypatch):
@@ -124,23 +131,43 @@ def test_each_image_applies_the_plethysm_once(monkeypatch):
     assert calls == [6, 5]
 
 
+SOURCE = Path(deltaq1.__file__).parent
+
+
+def imports_of(module):
+    """Each module that one package module imports, by its last dotted name,
+    mapped to the names taken from it (none for a whole-module import).
+    Importing any module runs the package __init__, which imports every
+    module, so the imports are read from the source."""
+    tree = ast.parse((SOURCE / (module + ".py")).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            source = (node.module or "").split(".")[-1]
+            imported.setdefault(source, set()).update(names)
+            if node.level and not node.module:
+                for name in names:
+                    imported.setdefault(name, set())
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name.split(".")[-1], set())
+    return imported
+
+
 def test_oracle_side_imports_no_combinatorial_model():
-    # Importing any module runs the package __init__, which imports every
-    # module, so the imports are read from the source.
     combinatorial = {"msequences", "dyck", "diagrams", "bijection", "verify",
                      "cli"}
-    source = Path(deltaq1.__file__).parent
     for module in ("tarith", "partitions", "symfunc", "specialize", "oracle"):
-        tree = ast.parse((source / (module + ".py")).read_text())
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.add((node.module or "").split(".")[-1])
-                if node.level and not node.module:
-                    imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[-1] for alias in node.names)
-        assert not imported & combinatorial, module
+        assert not imports_of(module).keys() & combinatorial, module
+    # the oracle takes the staircase alphabet and f_mu[1-t] from the series
+    # module, never the series route's answer
+    assert imports_of("oracle")["specialize"] == {
+        "_staircase_monomials", "forgotten_at_one_minus_t"}
+    # the models' polynomials and the series share only these two modules
+    package = {path.stem for path in SOURCE.glob("*.py")} | {"deltaq1"}
+    for module in ("msequences", "specialize"):
+        assert imports_of(module).keys() & package == {"partitions", "tarith"}, module
 
 
 def test_oracle_makes_no_constant_operand_gcd(monkeypatch):
@@ -156,5 +183,6 @@ def test_oracle_makes_no_constant_operand_gcd(monkeypatch):
 
     monkeypatch.setattr(tarith, "poly_gcd", counted)
     assert delta_e(8, 4) == expected
-    assert haglund_check(5, 2, elem("f", [3, 1, 1]))
+    assert hall_inner(delta_e(5, 2), elem("f", [3, 1, 1])) == TRat(
+        forgotten_coefficient([3, 1, 1], 2))
     assert calls and not const_calls

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from deltaq1 import oracle, specialize, symfunc, verify
 from deltaq1.cli import _MAX_ROWS, main
 from deltaq1.diagrams import ColumnStack, LabeledDiagram, diagrams_up_to
-from deltaq1.oracle import haglund_check
 from deltaq1.partitions import Partition, partitions_of
-from deltaq1.symfunc import SymFuncExpr
-from deltaq1.tarith import TPoly
+from deltaq1.specialize import forgotten_coefficient
+from deltaq1.symfunc import SymFuncExpr, degree_bound, hall_inner
+from deltaq1.tarith import TPoly, TRat
 from deltaq1.verify import (
     _MAX_AUDITED,
     _MAX_DEGREE,
@@ -46,9 +46,9 @@ def test_suite_without_cases_does_not_pass():
 
 
 @pytest.mark.parametrize("name, options, problem", [
-    ("eq1", {"n_max": 11}, "need n <= 10"),
-    ("hilbert", {"n_max": 11}, "need n <= 10"),
-    ("haglund", {"n_max": 11}, "need n <= 10"),
+    ("eq1", {"n_max": degree_bound() + 1}, "need n <= %d" % degree_bound()),
+    ("hilbert", {"n_max": degree_bound() + 1}, "need n <= %d" % degree_bound()),
+    ("haglund", {"n_max": degree_bound() + 1}, "need n <= %d" % degree_bound()),
     ("involution", {"n_max": 3, "k_max": 60, "degree_max": 3},
      "need 1 <= --k-max <= %d" % _MAX_K),
     # an audit above degree_max would report no pairings and pass
@@ -152,9 +152,10 @@ def usage_error(capsys, *argv):
 
 
 def test_usage_guards_cover_every_command(capsys):
-    assert "n <= 10" in usage_error(capsys, "hilbert", "11")
-    assert "n <= 10" in usage_error(capsys, "verify", "eq1", "--n-max", "11")
-    assert "n <= 10" in usage_error(capsys, "schur", "11", "2")
+    bound, over = "n <= %d" % degree_bound(), str(degree_bound() + 1)
+    assert bound in usage_error(capsys, "hilbert", over)
+    assert bound in usage_error(capsys, "verify", "eq1", "--n-max", over)
+    assert bound in usage_error(capsys, "schur", over, "2")
     assert "k <= n" in usage_error(capsys, "hilbert", "3", "--k", "4")
     assert "nonnegative" in usage_error(
         capsys, "verify", "involution", "--degree-max", "-3"
@@ -177,9 +178,12 @@ def test_verify_checks_its_options_once(capsys, monkeypatch):
 
 def test_haglund_suite_stops_below_the_degree_bound(capsys):
     # it takes n up to the degree bound, where the oracle stops
-    assert "n <= 10" in usage_error(capsys, "verify", "haglund", "--n-max", "11")
-    assert haglund_check(9, 9, SymFuncExpr.basis_element("f", [9]))
-    assert haglund_check(10, 10, SymFuncExpr.basis_element("f", [10]))
+    bound = degree_bound()
+    assert "n <= %d" % bound in usage_error(
+        capsys, "verify", "haglund", "--n-max", str(bound + 1))
+    for n in (bound - 1, bound):
+        assert hall_inner(oracle.delta_e(n, n), SymFuncExpr.basis_element(
+            "f", [n])) == TRat(forgotten_coefficient([n], n))
 
 
 def test_haglund_and_hilbert_read_one_image_per_case(monkeypatch):
@@ -196,7 +200,6 @@ def test_haglund_and_hilbert_read_one_image_per_case(monkeypatch):
 
     monkeypatch.setattr(verify, "delta_e", counted)
     monkeypatch.setattr(oracle, "delta_general", no_call)
-    monkeypatch.setattr(oracle, "hall_inner", no_call)
     monkeypatch.setattr(symfunc, "hall_inner", no_call)
     for name in ("haglund", "hilbert"):
         calls.clear()
