@@ -3,7 +3,7 @@
 Each command only parses its arguments, calls the library and prints: the
 mathematics, the comparison of the two routes included, is in the library.
 All structured output is JSON on stdout; errors go to stderr as one line.
-Exit codes: 0 success, 1 counterexample or invalid object, 2 usage.
+Exit codes: 0 success, 1 counterexample, invalid object or closed pipe, 2 usage.
 Reports omit the wall-clock field unless asked, so default output is
 byte-identical across runs with the same parameters.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bijection import decorated_to_msequence, msequence_to_decorated
@@ -218,9 +219,16 @@ def main(argv=None):
     if getattr(args, "k", None) is not None and args.k > args.n:
         parser.error("need k <= n")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left fails here, not at exit
+        return code
     except _UsageError as err:  # raised by run_suite before any case
         parser.error(str(err))
+    except BrokenPipeError:  # the reader left; devnull takes the exit flush
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("deltaq1: stdout was closed early", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

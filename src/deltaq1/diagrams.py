@@ -52,7 +52,7 @@ class ColumnStack:
         (row_len,) = int_entries([row_len])
         if row_len < 1:
             raise ValueError("row length must be positive")
-        above = above if isinstance(above, Partition) else Partition(above)
+        above = Partition(above)
         labels = int_entries(labels)
         if len(labels) != row_len:
             raise ValueError("need one label per cell")
@@ -132,7 +132,7 @@ class LabeledDiagram:
         stacks = tuple(stacks)
         if not stacks:
             raise ValueError("a diagram needs at least one stack")
-        lam = lam if isinstance(lam, Partition) else Partition(lam)
+        lam = Partition(lam)
         first = stacks[0]
         if first.above and first.above[0] > first.row_len - 1:
             raise ValueError(
@@ -253,7 +253,7 @@ def diagrams_up_to(k, lam, degree_max):
     """Every diagram over every partition of k+1 with weight at most
     ``degree_max``, streamed.  The diagrams of each weight come in the
     order ``diagrams_of_weight`` lists them."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     if len(lam) > k + 1:
         return
     # (row length, labels, cap) -> the stacks of each partition size s, for

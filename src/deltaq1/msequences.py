@@ -6,12 +6,12 @@ a_{i+1} < a_i + b_i, weighted by t^(a_1 + ... + a_{k+1}); A(b) is the sum
 over the admissible vectors of b.  A model draws its budgets from the
 monomials of a symmetric function in k+1 variables, so every model is one
 linear functional, L_k(m_mu) = the sum of A(b) over the distinct orderings
-b of mu padded with zeros to k+1 slots (``generic_polynomial``), applied to
-an m-expansion counted once per partition mu:
+b of mu padded with zeros to k+1 slots, each computed once per process
+(``generic_polynomial``), applied to an m-expansion counted once per mu:
 
 * M-sequences for lam: m_lam itself (``msequence_polynomial``);
-* ordered set partition sequences for n: p_1^n, whose m-coefficients are
-  multinomials (``osp_polynomial``);
+* ordered set partition sequences for n: p_1^n = h_{1^n}, whose
+  m-coefficients are the multinomials (``osp_polynomial``);
 * tableau sequences for lam: s_lam, whose m-coefficients are Kostka
   numbers (``ssyt_polynomial``);
 * the other coefficients of the Delta image: e_lam and h_lam, whose
@@ -31,8 +31,8 @@ M-sequence, and a tableau sequence when its (a_i, content_i) are.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, chain, product
-from math import factorial, prod
 
 from .partitions import Partition, int_entries, padded_rearrangements, partitions_of
 from .tarith import TPoly
@@ -57,6 +57,7 @@ def _add(p, q):
     return out
 
 
+@lru_cache(maxsize=None)
 def _budget_functional(mu, k):
     """L_k(m_mu): the sum of A(b) over the distinct orderings b of mu padded
     with zeros to k+1 slots (0 when mu has more than k+1 parts).
@@ -100,20 +101,16 @@ def _budget_functional(mu, k):
     return TPoly(total)
 
 
-def generic_polynomial(terms, k, memo=None):
+def generic_polynomial(terms, k):
     """Sum over terms (integer coeff, partition mu) of coeff * L_k(m_mu):
     the t-generating polynomial of the model whose budgets are drawn from
     the symmetric function sum of coeff * m_mu in k+1 variables.  A mu
-    with more than k+1 parts contributes 0.  ``memo``, a dict, keeps each
-    L_k(m_mu) computed for reuse by later calls that pass it."""
-    memo = {} if memo is None else memo
+    with more than k+1 parts contributes 0."""
     acc = []
     for coeff, mu in terms:
         int_entries([coeff])
-        key = (mu if isinstance(mu, Partition) else Partition(mu), k)
-        if key not in memo:
-            memo[key] = _budget_functional(*key)
-        acc = _add(acc, [coeff * c for c in memo[key].coeffs])
+        poly = _budget_functional(Partition(mu), k)
+        acc = _add(acc, [coeff * c for c in poly.coeffs])
     return TPoly(acc)
 
 
@@ -168,7 +165,7 @@ def m_expansion(basis, lam, nvars):
     matrix count is the same for the transpose, so the shorter partition is
     the shape: removing many small parts from few rows is the cheap way.
     """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     if basis == "m":
         return [(1, lam)] if len(lam) <= nvars else []
     caps, memo, out = _REMOVAL_CAPS[basis], {}, []
@@ -193,12 +190,11 @@ _DUAL = {"e": "m", "s": "s", "f": "h", "m": "e"}
 def expansion_terms(n, k, basis):
     """(lam, coeff) for every lam |- n, in ``partitions_of`` order, whose
     coefficient of b_lam in the Delta image is nonzero, where b is
-    ``basis`` ("e", "f", "m" or "s"); computed from the models alone.  Each
-    L_k(m_mu) is computed once for the whole table."""
-    dual, memo, terms = _DUAL[basis], {}, []
+    ``basis`` ("e", "f", "m" or "s"); computed from the models alone."""
+    dual, terms = _DUAL[basis], []
     for lam in partitions_of(n):
         mu = lam.conjugate() if basis == "s" else lam
-        coeff = generic_polynomial(m_expansion(dual, mu, k + 1), k, memo)
+        coeff = generic_polynomial(m_expansion(dual, mu, k + 1), k)
         if coeff:
             terms.append((lam, coeff))
     return terms
@@ -279,7 +275,7 @@ class MSequence:
 def msequences(lam, k):
     """The complete finite set of M-sequences for lam and k; empty when lam
     has more than k+1 parts."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     if k < 1:
         raise ValueError("k must be positive")
     if len(lam) > k + 1:
@@ -361,15 +357,13 @@ def osp_polynomial(n, k):
     series of the Delta image)."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    multinomials = [(factorial(n) // prod(map(factorial, mu)), mu)
-                    for mu in partitions_of(n)]
-    return generic_polynomial(multinomials, k)
+    return generic_polynomial(m_expansion("h", [1] * n, k + 1), k)
 
 
 def ssyt_fillings(lam, max_entry):
     """Semistandard fillings of lam with entries in 1..max_entry, as tuples
     of row tuples, enumerated in row-major lexicographic order."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     rows = lam.parts
     out = []
 
@@ -455,7 +449,7 @@ class SSYTSequence:
 
 def ssyt_sequences(lam, k):
     """All tableau sequences for lam with entries bounded by k+1."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     if k < 1:
         raise ValueError("k must be positive")
     out = []

@@ -23,7 +23,7 @@ from .tarith import ONE, TPoly, RAT_ZERO
 
 def elementary_eigenvalue(mu, k):
     """e_k evaluated at the t-staircase alphabet of mu, exactly in TPoly."""
-    mu = mu if isinstance(mu, Partition) else Partition(mu)
+    mu = Partition(mu)
     if k < 0:
         raise ValueError("k must be nonnegative")
     coeffs = [ONE] + [TPoly()] * k
@@ -38,7 +38,7 @@ def eval_at_staircase(expr, mu):
     """Plethystic evaluation of a symmetric function at the t-staircase
     alphabet of mu; each p_r substitutes t -> t^r into the alphabet sum.
     Coefficients of the expression are treated as scalars."""
-    mu = mu if isinstance(mu, Partition) else Partition(mu)
+    mu = Partition(mu)
     powers = _staircase_monomials(mu)
     pexpr = expr.convert("p")
     total = RAT_ZERO

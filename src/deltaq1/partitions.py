@@ -1,9 +1,9 @@
 """Integer partitions, conjugation, and multiset rearrangements.
 
 Partitions are the indexing objects for every basis, diagram and model in
-this package.  They are normalized at construction (zeros dropped, parts
-sorted decreasingly) so that equality is structural.  ``int_entries`` is
-the package's one integer check.
+this package.  They are normalized (zeros dropped, parts decreasing), so
+equality is structural, and checked once, where they enter: ``Partition(x)``
+passes a Partition through.  ``int_entries`` is the one integer check.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts=()):
+        if isinstance(parts, Partition):  # checked when it was built
+            self._parts = parts._parts
+            return
         cleaned = sorted(int_entries(parts), reverse=True)
         if cleaned and cleaned[-1] < 0:
             raise ValueError("partition parts must be nonnegative, got %r" % (parts,))
@@ -135,12 +138,12 @@ def partitions_of(n, max_part=None):
     if n < 0:
         raise ValueError("n must be nonnegative")
     cap = n if max_part is None else min(max_part, n)
-    return [Partition(t) for t in _partition_tuples(n, cap)]
+    return [Partition._of(t) for t in _partition_tuples(n, cap)]
 
 
 def rearrangement_count(mu):
     """Number of distinct orderings of the parts of mu."""
-    mu = Partition(mu) if not isinstance(mu, Partition) else mu
+    mu = Partition(mu)
     count = math.factorial(len(mu))
     for m in mu.multiplicities().values():
         count //= math.factorial(m)
@@ -176,7 +179,7 @@ def padded_rearrangements(lam, m):
     Rejects partitions longer than m; the associated monomial coefficient
     is zero in that case and callers must handle it before enumerating.
     """
-    lam = Partition(lam) if not isinstance(lam, Partition) else lam
+    lam = Partition(lam)
     if len(lam) > m:
         raise ValueError("partition %r has more than %d parts" % (lam, m))
     return distinct_orderings(lam.parts + (0,) * (m - len(lam)))
@@ -190,7 +193,7 @@ def parity_sign(mu):
 
 def zee(mu):
     """The centralizer size z_mu = prod i^{m_i} m_i! over part values i."""
-    mu = Partition(mu) if not isinstance(mu, Partition) else mu
+    mu = Partition(mu)
     out = 1
     for value, mult in mu.multiplicities().items():
         out *= value ** mult * math.factorial(mult)

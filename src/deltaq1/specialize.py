@@ -23,10 +23,6 @@ from .partitions import Partition, parity_sign, partitions_of, rearrangement_cou
 from .tarith import ONE, TPoly, divexact
 
 
-def _as_partition(mu):
-    return mu if isinstance(mu, Partition) else Partition(mu)
-
-
 def _staircase_monomials(mu):
     """The t-staircase alphabet of mu as t-powers: 0..mu_i-1 per part."""
     return [j for part in mu for j in range(part)]
@@ -39,7 +35,7 @@ def _t_pochhammer(r):
 
 def forgotten_at_one(mu):
     """f_mu evaluated at the alphabet 1: a signed rearrangement count."""
-    mu = _as_partition(mu)
+    mu = Partition(mu)
     return parity_sign(mu) * rearrangement_count(mu)
 
 
@@ -49,7 +45,7 @@ def forgotten_at_one_minus_t(mu):
     The removal sum runs over distinct part values of mu: the underlying
     decomposition splits off a single part, so each value contributes once.
     """
-    mu = _as_partition(mu)
+    mu = Partition(mu)
     acc = TPoly.const(rearrangement_count(mu))
     for value in sorted(set(mu.parts)):
         acc = acc - TPoly.t_power(value) * rearrangement_count(mu.remove(value))
@@ -63,7 +59,7 @@ def monomial_eval(lam, mu):
     parts not yet placed, while the letters left can place them, and the
     answer is the one with none left.  Zero when lam has more parts than mu
     has cells."""
-    lam, powers = _as_partition(lam), _staircase_monomials(mu)
+    lam, powers = Partition(lam), _staircase_monomials(mu)
     placing = {lam.parts: [1]} if len(lam) <= len(powers) else {}
     for room, j in zip(range(len(powers) - 1, -1, -1), powers):
         # room: the letters after this one
@@ -92,7 +88,7 @@ def forgotten_series_terms(lam, k):
     monomial_eval(lam, mu) * f_mu[1-t] * [k+1; mu]_t, where the
     t-multinomial [k+1; mu]_t is D / prod_i (t;t)_{mu_i}.  The term of mu
     has the sign parity_sign(mu)."""
-    lam = _as_partition(lam)
+    lam = Partition(lam)
     return [(mu, monomial_eval(lam, mu) * _mu_factor(mu))
             for mu in partitions_of(k + 1)]
 
@@ -103,7 +99,7 @@ def forgotten_coefficient(lam, k):
     numerators of ``forgotten_series_terms`` divided by D = (t;t)_{k+1}.
     Raises ValueError when D does not divide it, so the sum is no
     polynomial."""
-    lam = _as_partition(lam)
+    lam = Partition(lam)
     n = lam.size
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= %d, got k=%d" % (n, k))

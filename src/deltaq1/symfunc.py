@@ -196,7 +196,7 @@ class SymFuncExpr:
             raise ValueError("unknown basis %r" % (basis,))
         clean = {}
         for lam, c in dict(terms).items():
-            lam = lam if isinstance(lam, Partition) else Partition(lam)
+            lam = Partition(lam)
             if lam.size != degree:
                 raise ValueError("%r is not a partition of %d" % (lam, degree))
             coeff = TRat._coerce(c)
@@ -208,7 +208,7 @@ class SymFuncExpr:
 
     @classmethod
     def basis_element(cls, basis, lam, coeff=1):
-        lam = lam if isinstance(lam, Partition) else Partition(lam)
+        lam = Partition(lam)
         return cls(lam.size, basis, {lam: coeff})
 
     @property
@@ -220,7 +220,7 @@ class SymFuncExpr:
         return self._basis
 
     def coeff(self, lam):
-        lam = lam if isinstance(lam, Partition) else Partition(lam)
+        lam = Partition(lam)
         return self._terms.get(lam, RAT_ZERO)
 
     def terms(self):
@@ -257,13 +257,11 @@ class SymFuncExpr:
             raise ValueError("unknown basis %r" % (target,))
         if target == self._basis:
             return self
-        _check_degree(self._degree)
         in_p = {}
         to_p = _to_p(self._basis, self._degree)
         for lam, c in self._terms.items():
             for mu, scalar in to_p[lam.parts].items():
-                cur = in_p.get(mu, RAT_ZERO) + c * TRat.from_fraction(scalar)
-                in_p[mu] = cur
+                in_p[mu] = in_p.get(mu, RAT_ZERO) + c * scalar
         if target == "p":
             return SymFuncExpr(self._degree, "p", in_p)
         out = {}
@@ -272,7 +270,7 @@ class SymFuncExpr:
             if c.is_zero():
                 continue
             for lam, scalar in from_p[mu].items():
-                out[lam] = out.get(lam, RAT_ZERO) + c * TRat.from_fraction(scalar)
+                out[lam] = out.get(lam, RAT_ZERO) + c * scalar
         return SymFuncExpr(self._degree, target, out)
 
     def to_json(self):

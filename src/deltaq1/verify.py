@@ -12,7 +12,8 @@ Haglund's identity reads the dual side off
 ``specialize.forgotten_coefficient``, exact numerators divided by their
 common denominator, and hilbert reads the image's e-coefficients, so no
 suite takes an inner product.  ``usage_problem`` is the one check of a
-suite's options, for ``run_suite`` and the command line alike.
+suite's options, for ``run_suite`` and the command line alike; it counts
+an involution run's diagrams, in all and of the audit weight, in one pass.
 ``oracle_mismatches`` is the one comparison of the eigenoperator route with
 the models' basis expansion, for eq1, schur and ``expand --oracle``.
 """
@@ -20,7 +21,6 @@ the models' basis expansion, for eq1, schur and ``expand --oracle``.
 from __future__ import annotations
 
 import time
-from itertools import accumulate
 from math import factorial, prod
 from typing import Callable, NamedTuple
 
@@ -304,20 +304,25 @@ _MAX_DIAGRAMS = 1_000_000
 _MAX_AUDITED = 25_000
 
 
-def _diagram_counts(n_max, k_max, degree_max):
-    """The number of diagrams of each weight, per (k, lam) of an involution
-    run, in the order of its cases."""
-    return (diagram_count(k, lam, degree_max)
-            for n in range(1, n_max + 1)
-            for k in range(1, k_max + 1)
-            for lam in partitions_of(n))
-
-
-def _involution_too_large(n_max, k_max, degree_max):
-    """Whether the walks of an involution run hold more than _MAX_DIAGRAMS
-    diagrams; the count stops at the first (k, lam) past it."""
-    sizes = map(sum, _diagram_counts(n_max, k_max, degree_max))
-    return any(total > _MAX_DIAGRAMS for total in accumulate(sizes))
+def _involution_budget_problem(n_max, k_max, degree_max, audit):
+    """Why the walks of an involution run are too large, or None: over
+    _MAX_DIAGRAMS diagrams in all, or over _MAX_AUDITED of the audit weight.
+    One ``diagram_count`` per (k, lam), in the order of the cases, counts
+    both; the pass stops at the first (k, lam) past _MAX_DIAGRAMS."""
+    walks = ((k, lam) for n in range(1, n_max + 1) for k in range(1, k_max + 1)
+             for lam in partitions_of(n))
+    total = audited = 0
+    for k, lam in walks:
+        counts = diagram_count(k, lam, degree_max)
+        total += sum(counts)
+        if total > _MAX_DIAGRAMS:
+            return ("need at most %d diagrams; lower --n-max, --k-max or "
+                    "--degree-max" % _MAX_DIAGRAMS)
+        audited += 0 if audit is None else counts[audit]
+    if audited > _MAX_AUDITED:
+        return ("need at most %d diagrams of the --audit weight; lower "
+                "--n-max, --k-max or --audit" % _MAX_AUDITED)
+    return None
 
 
 class Suite(NamedTuple):
@@ -357,17 +362,7 @@ def usage_problem(name, options):
         if value is not None and not low <= value <= high:
             return "need %d <= %s <= %d" % (low, flag, high)
     if name == "involution":
-        options = {**suite.options, **options}
-        walks = options["n_max"], options["k_max"], options["degree_max"]
-        if _involution_too_large(*walks):
-            return ("need at most %d diagrams; lower --n-max, --k-max or "
-                    "--degree-max" % _MAX_DIAGRAMS)
-        audit = options["audit"]
-        if audit is not None and sum(
-                counts[audit] for counts in _diagram_counts(*walks)
-        ) > _MAX_AUDITED:
-            return ("need at most %d diagrams of the --audit weight; lower "
-                    "--n-max, --k-max or --audit" % _MAX_AUDITED)
+        return _involution_budget_problem(**{**suite.options, **options})
     return None
 
 

@@ -147,14 +147,20 @@ def test_criterion_7_schur_expansion():
 
 
 def test_criterion_8_haglund_identity():
-    """The pairing duality holds for every forgotten basis element of degree
-    n <= 5 and every 1 <= k <= n."""
-    ok = True
+    """The pairing duality holds for any symmetric function, not only for a
+    basis element: for n <= 5, every 1 <= k <= n and every lam, mu |- n,
+    the image paired with s_lam + 2 h_mu is one L_k of the m-expansion of
+    its omega image s_lam' + 2 e_mu, which mixes two bases."""
+    ok, cases = True, 0
     for n in range(1, 6):
         for k in range(1, n + 1):
             image = delta_e(n, k)
-            for lam in partitions_of(n):
-                inner = hall_inner(image, SymFuncExpr.basis_element("f", lam))
-                if inner != TRat(forgotten_coefficient(lam, k)):
+            for lam, mu in product(partitions_of(n), repeat=2):
+                inner = (hall_inner(image, SymFuncExpr.basis_element("s", lam))
+                         + 2 * hall_inner(image, SymFuncExpr.basis_element("h", mu)))
+                terms = m_expansion("s", lam.conjugate(), k + 1) + [
+                    (2 * c, nu) for c, nu in m_expansion("e", mu, k + 1)]
+                if inner != TRat(generic_polynomial(terms, k)):
                     ok = False
-    _conclude("8 (Haglund identity, n <= 5)", ok)
+                cases += 1
+    _conclude("8 (pairing with s_lam + 2 h_mu, n <= 5)", ok and cases == 381)

@@ -13,6 +13,7 @@ from deltaq1.msequences import (
     MSequence,
     OSPSequence,
     SSYTSequence,
+    _budget_functional,
     admissible_avectors,
     generic_polynomial,
     m_expansion,
@@ -218,9 +219,11 @@ def test_generic_polynomial_examples():
     for coeff in (True, Fraction(1, 2)):
         with pytest.raises(TypeError, match=re.escape("not %r" % (coeff,))):
             generic_polynomial([(coeff, (1,))], 1)
-    memo = {}
-    generic_polynomial([(3, [2]), (1, [2])], 1, memo)
-    assert memo == {(Partition([2]), 1): TPoly([1, 1])}
+    # each L_k(m_mu) is computed once and then read back
+    _budget_functional.cache_clear()
+    generic_polynomial([(3, [2]), (1, [2])], 1)
+    info = _budget_functional.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def _vectors(total, nvars, top):
@@ -332,8 +335,6 @@ partitions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(Partition)
 @settings(max_examples=50, deadline=None)
 def test_avector_polynomial_counts(mu, k):
     # L_k(m_mu) at t = 1 counts the admissible vectors of every ordering
-    from deltaq1.msequences import _budget_functional
-
     count = 0
     if len(mu) <= k + 1:
         for bvec in padded_rearrangements(mu, k + 1):

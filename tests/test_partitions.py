@@ -18,6 +18,9 @@ def test_normalization():
     assert Partition([2, 2]).size == 4
     with pytest.raises(ValueError):
         Partition([2, -1])
+    # a Partition was checked when it was built, and passes through as is
+    lam = Partition([3, 1])
+    assert Partition(lam) == lam and Partition(lam).parts is lam.parts
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "3"])

@@ -2,11 +2,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltaq1
 from deltaq1 import oracle, specialize, symfunc, verify
 from deltaq1.cli import _MAX_ROWS, main
 from deltaq1.diagrams import ColumnStack, LabeledDiagram, diagrams_up_to
@@ -165,15 +169,29 @@ def test_usage_guards_cover_every_command(capsys):
 def test_verify_checks_its_options_once(capsys, monkeypatch):
     # the option check counts the involution's diagrams, so it runs once per
     # command, inside run_suite
-    real, calls = verify._involution_too_large, []
+    real, calls = verify._involution_budget_problem, []
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(**options):
+        calls.append(options)
+        return real(**options)
 
-    monkeypatch.setattr(verify, "_involution_too_large", counted)
+    monkeypatch.setattr(verify, "_involution_budget_problem", counted)
     code, _, _ = run_cli(capsys, "verify", "involution", "--n-max", "2")
-    assert (code, calls) == (0, [(2, 3, 8)])
+    assert (code, calls) == (0, [{"n_max": 2, "k_max": 3, "degree_max": 8,
+                                  "audit": None}])
+    # one diagram count per (k, lam) covers the total and the audit weight
+    real_count, counts = verify.diagram_count, []
+
+    def counted_count(k, lam, degree_max):
+        counts.append((k, lam))
+        return real_count(k, lam, degree_max)
+
+    monkeypatch.setattr(verify, "_involution_budget_problem", real)
+    monkeypatch.setattr(verify, "diagram_count", counted_count)
+    assert verify.usage_problem("involution", {"audit": 3}) is None
+    walks = [(k, lam) for n in range(1, 6) for k in range(1, 4)
+             for lam in partitions_of(n)]
+    assert counts == walks and len(counts) == 54
 
 
 def test_haglund_suite_stops_below_the_degree_bound(capsys):
@@ -593,6 +611,22 @@ def test_phi_commands_reject_deeply_nested_json(capsys, monkeypatch):
         assert (code, out) == (1, "")
         assert err.splitlines() == [err.strip()]
         assert err.startswith(prefix) and "Traceback" not in err
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # the report is 78 KB, more than a pipe holds, so the writer meets the
+    # closed pipe while it prints
+    src = os.path.dirname(os.path.dirname(deltaq1.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "deltaq1", "verify", "involution",
+            "--n-max", "2", "--degree-max", "0", "--audit", "0"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          bufsize=0, env=env) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_hilbert_cli(capsys):
