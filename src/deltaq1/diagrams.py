@@ -22,8 +22,20 @@ their objects through the unchecked ``_of``, since they make them valid by
 construction; ``test_diagrams`` rebuilds what they make through the
 checking constructors.  ``split`` and ``combine`` write the partitions they
 make as already sorted tuples (``Partition._of``), and ``diagrams_up_to``
-builds each stack once per walk.  A stack keeps its weight and its hash,
-which the walk reads for every diagram.
+builds each stack once per walk.  A stack keeps its partition's size, its
+full-row count, its weight and its hash, which the walk reads for every
+diagram.
+
+A move reads one stack (a split) or one stack and the label and height of
+the cell before it (a combine), so each stack also keeps what its moves
+build: its two halves, made on the first split, and the stack it merges
+into for each (label, height) it has absorbed.  ``split``, ``combine`` and
+``involution`` share these; the walk's stacks, and their memos, die with
+the walk.  The memo holds only those per-stack results, each a function of
+its key alone: the guard of a combine is evaluated on every call, and the
+diagram a move makes is new, so the suite's pair laws (equal weight,
+opposite sign, each the other's image, compared by structure) are checked
+on every pair as before.
 """
 
 from __future__ import annotations
@@ -46,7 +58,8 @@ from .tarith import TPoly
 class ColumnStack:
     """One base row of ``row_len`` labeled cells with a partition above it."""
 
-    __slots__ = ("_row_len", "_above", "_labels", "_weight", "_hash")
+    __slots__ = ("_row_len", "_above", "_labels", "_size", "_full", "_weight",
+                 "_hash", "_split_memo", "_merge_memo")
 
     def __init__(self, row_len, above, labels):
         (row_len,) = int_entries([row_len])
@@ -72,8 +85,38 @@ class ColumnStack:
 
     def _set(self, row_len, above, labels):
         self._row_len, self._above, self._labels = row_len, above, labels
-        self._weight = above.size + sum(j * v for j, v in enumerate(labels))
+        self._size = above.size
+        self._full = above.multiplicity(row_len)
+        self._weight = self._size + sum(j * v for j, v in enumerate(labels))
         self._hash = hash((row_len, above, labels))
+        self._split_memo = self._merge_memo = None
+
+    def _halves(self):
+        """(head, tail) of splitting this stack, row_len > 1, built once: its
+        last column over its last label c, then the rest, whose full rows
+        each give their last cell to the column and gain c more."""
+        if self._split_memo is None:
+            r, full, c = self._row_len, self._full, self._labels[-1]
+            head = ColumnStack._of(1, Partition._of((1,) * full), (c,))
+            rest = (r - 1,) * (full + c) + self._above.parts[full:]
+            tail = ColumnStack._of(r - 1, Partition._of(rest), self._labels[:-1])
+            self._split_memo = head, tail
+        return self._split_memo
+
+    def _absorb(self, c, height):
+        """This stack with a column of ``height`` cells over label ``c``
+        merged in on the right, c + height <= its full rows, built once per
+        (c, height): c full rows go, height more take the column."""
+        if self._merge_memo is None:
+            self._merge_memo = {}
+        big = self._merge_memo.get((c, height))
+        if big is None:
+            r, full = self._row_len, self._full
+            merged = ((r + 1,) * height + (r,) * (full - c - height)
+                      + self._above.parts[full:])
+            big = ColumnStack._of(r + 1, Partition._of(merged), self._labels + (c,))
+            self._merge_memo[c, height] = big
+        return big
 
     @property
     def row_len(self):
@@ -93,7 +136,7 @@ class ColumnStack:
 
     def full_rows(self):
         """Parts of the partition spanning the whole row."""
-        return self._above.multiplicity(self._row_len)
+        return self._full
 
     def __eq__(self, other):
         if not isinstance(other, ColumnStack):
@@ -182,6 +225,32 @@ class LabeledDiagram:
         return {"stacks": [st.to_json() for st in self._stacks]}
 
 
+def _combinable(stacks, i):
+    """The guard of combining stack i (one cell) into stack i+1, never
+    cached: the label plus the column height fit among the next stack's full
+    rows, and a column merged into first position is empty."""
+    st = stacks[i]
+    if i == 0 and st._size:
+        return False
+    return st._labels[0] + st._size <= stacks[i + 1]._full
+
+
+def _split_at(diagram, i):
+    """``split`` without its checks: stack i is wide."""
+    stacks = diagram._stacks
+    return LabeledDiagram._of(
+        stacks[:i] + stacks[i]._halves() + stacks[i + 1 :], diagram._lam
+    )
+
+
+def _combine_at(diagram, i):
+    """``combine`` without its checks: stack i may merge into stack i+1."""
+    stacks = diagram._stacks
+    st = stacks[i]
+    big = stacks[i + 1]._absorb(st._labels[0], st._size)
+    return LabeledDiagram._of(stacks[:i] + (big,) + stacks[i + 2 :], diagram._lam)
+
+
 def can_combine(diagram, i):
     """Whether stack i (a single labeled cell) absorbs stack i+1.
 
@@ -192,13 +261,9 @@ def can_combine(diagram, i):
     stacks = diagram.stacks
     if not 0 <= i < len(stacks) - 1:
         raise IndexError("no stack follows index %d" % i)
-    st = stacks[i]
-    if st.row_len != 1:
+    if stacks[i].row_len != 1:
         raise ValueError("combining requires a single-cell stack at index %d" % i)
-    c, height = st.labels[0], st.above.size
-    if i == 0 and height > 0:
-        return False
-    return c + height <= stacks[i + 1].full_rows()
+    return _combinable(stacks, i)
 
 
 def split(diagram, i):
@@ -207,18 +272,9 @@ def split(diagram, i):
     stacks = diagram.stacks
     if not 0 <= i < len(stacks):
         raise IndexError("no stack at index %d" % i)
-    st = stacks[i]
-    if st.row_len <= 1:
+    if stacks[i].row_len <= 1:
         raise ValueError("cannot split a single-cell stack")
-    r, full, c = st.row_len, st.full_rows(), st.labels[-1]
-    # the full rows come first: each gives its last cell to the column, and
-    # c new full rows join them
-    head = ColumnStack._of(1, Partition._of((1,) * full), (c,))
-    rest = (r - 1,) * (full + c) + st.above.parts[full:]
-    tail = ColumnStack._of(r - 1, Partition._of(rest), st.labels[:-1])
-    return LabeledDiagram._of(
-        stacks[:i] + (head, tail) + stacks[i + 1 :], diagram.lam
-    )
+    return _split_at(diagram, i)
 
 
 def combine(diagram, i):
@@ -226,14 +282,7 @@ def combine(diagram, i):
     append the column on the right, append the label to the row."""
     if not can_combine(diagram, i):
         raise ValueError("stacks %d and %d cannot be combined" % (i, i + 1))
-    stacks = diagram.stacks
-    st, nxt = stacks[i], stacks[i + 1]
-    c, height = st.labels[0], st.above.size
-    r, full = nxt.row_len, nxt.full_rows()
-    # the full rows come first: c of them go, height more take the column
-    merged = (r + 1,) * height + (r,) * (full - c - height) + nxt.above.parts[full:]
-    big = ColumnStack._of(r + 1, Partition._of(merged), nxt.labels + (c,))
-    return LabeledDiagram._of(stacks[:i] + (big,) + stacks[i + 2 :], diagram.lam)
+    return _combine_at(diagram, i)
 
 
 def involution(diagram):
@@ -241,11 +290,12 @@ def involution(diagram):
     point.  Scans left to right; a wide stack splits, a single-cell stack
     tries to combine with its successor."""
     stacks = diagram.stacks
+    last = len(stacks) - 1
     for i, st in enumerate(stacks):
-        if st.row_len > 1:
-            return split(diagram, i)
-        if i + 1 < len(stacks) and can_combine(diagram, i):
-            return combine(diagram, i)
+        if st._row_len > 1:
+            return _split_at(diagram, i)
+        if i < last and _combinable(stacks, i):
+            return _combine_at(diagram, i)
     return None
 
 

@@ -39,6 +39,14 @@ class TPoly:
         self._c = tuple(_strip(int_entries(coeffs)))
 
     @classmethod
+    def _of(cls, coeffs):
+        """Unchecked: ``coeffs`` ints, as the arithmetic below builds them
+        from coefficients already checked; trailing zeros are stripped."""
+        poly = object.__new__(cls)
+        poly._c = tuple(_strip(coeffs))
+        return poly
+
+    @classmethod
     def const(cls, c):
         return cls([c])
 
@@ -77,7 +85,7 @@ class TPoly:
             raise ValueError("negative shift")
         if not self._c:
             return self
-        return TPoly((0,) * k + self._c)
+        return TPoly._of((0,) * k + self._c)
 
     def __bool__(self):
         return bool(self._c)
@@ -93,7 +101,7 @@ class TPoly:
         return hash(self._c)
 
     def __neg__(self):
-        return TPoly(tuple(-x for x in self._c))
+        return TPoly._of(-x for x in self._c)
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -106,7 +114,7 @@ class TPoly:
         out = list(a)
         for i, x in enumerate(b):
             out[i] += x
-        return TPoly(out)
+        return TPoly._of(out)
 
     __radd__ = __add__
 
@@ -122,17 +130,17 @@ class TPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TPoly(tuple(other * x for x in self._c))
+            return TPoly._of(other * x for x in self._c)
         if not isinstance(other, TPoly):
             return NotImplemented
         if not self._c or not other._c:
-            return TPoly()
+            return TPoly._of(())
         out = [0] * (len(self._c) + len(other._c) - 1)
         for i, a in enumerate(self._c):
             if a:
                 for j, b in enumerate(other._c):
                     out[i + j] += a * b
-        return TPoly(out)
+        return TPoly._of(out)
 
     __rmul__ = __mul__
 

@@ -142,7 +142,9 @@ def _involution_verdicts(n, k, lam, degree_max, audit):
     that passes leaves its partner in ``mates``, and when the walk reaches
     that partner it adds its sign and its pairing without another
     ``involution`` call.  Verdicts, the first failure of each weight and the
-    pairing order are those of checking every diagram in full."""
+    pairing order are those of checking every diagram in full.  A partner
+    still in ``mates`` after the walk is not among the walk's diagrams, and
+    fails its weight unless a diagram of that weight failed first."""
     signed = [0] * (degree_max + 1)
     fixed = [[] for _ in signed]
     verdicts = [None] * len(signed)
@@ -185,6 +187,12 @@ def _involution_verdicts(n, k, lam, degree_max, audit):
         if reason:
             verdicts[w] = {"case": [n, k, lam.to_json(), w], "reason": reason,
                            "object": diagram.to_json()}
+    for partner in mates:
+        w = partner.weight()
+        if not verdicts[w]:
+            verdicts[w] = {"case": [n, k, lam.to_json(), w],
+                           "reason": "partner is not a diagram of the walk",
+                           "object": partner.to_json()}
     seqs = msequences(lam, k)
     poly = msequence_polynomial(lam, k)
     for d in range(degree_max + 1):
@@ -286,10 +294,10 @@ def _haglund(case, run):
 
 # The involution suite walks every labelled diagram of weight up to
 # degree_max; their number grows 3-10x per step of k, and each costs about
-# 17-21 us on a 2-core VM.  There n_max 10, k_max 3, degree_max 8 (472,682
-# diagrams) takes 8.7-10.1 s and n_max 5, k_max 4, degree_max 8 (684,633)
-# 11.8-14.1 s.  A run is refused when its diagrams number more than
-# _MAX_DIAGRAMS, about 20 s there: n_max 10, k_max 4, degree_max 8
+# 8-14 us on a 2-core VM.  There n_max 10, k_max 3, degree_max 8 (472,682
+# diagrams) takes 5.3-6.8 s and n_max 5, k_max 4, degree_max 8 (684,633)
+# 5.5-6.4 s.  A run is refused when its diagrams number more than
+# _MAX_DIAGRAMS, about 8-14 s there: n_max 10, k_max 4, degree_max 8
 # (5,910,597 diagrams) is refused at once.  The caps on k_max and
 # degree_max stay, so no option alone asks for an unbounded count.
 _MAX_K = 4

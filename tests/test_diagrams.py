@@ -252,12 +252,19 @@ def test_diagrams_up_to_counts_match_the_weight_series():
                     )
 
 
+def _rebuilt_stack(st):
+    return ColumnStack(st.row_len, list(st.above), list(st.labels))
+
+
+def _memoized(st):
+    """The stacks that ``st`` keeps from its split and its merges."""
+    return (st._split_memo or ()) + tuple((st._merge_memo or {}).values())
+
+
 def _rebuilt(diagram):
     """The diagram built again through the validating constructors."""
     return LabeledDiagram(
-        [ColumnStack(st.row_len, list(st.above), list(st.labels))
-         for st in diagram.stacks],
-        list(diagram.lam),
+        [_rebuilt_stack(st) for st in diagram.stacks], list(diagram.lam)
     )
 
 
@@ -268,14 +275,23 @@ def test_unchecked_diagrams_are_valid():
     # differently or not at all, and an unsorted partition tuple would not
     # compare equal).  The weights and hashes the stacks store agree with
     # those of the rebuilt objects.  Cap 6 yields the diagrams of every
-    # smaller cap too.
+    # smaller cap too.  The walk shares its stacks between diagrams, and
+    # each stack keeps its split and its merges: a diagram's partner, asked
+    # for twice, equals the partner of its rebuilt copy (new stacks, no
+    # memo), the partner and its rebuilt copy both map back, and every
+    # memoized half and merge rebuilds.
     for k in (1, 2, 3):
         for n in range(5):
             for lam in partitions_of(n):
                 for diagram in diagrams_up_to(k, lam, 6):
-                    for built in (diagram, involution(diagram)):
+                    partner = involution(diagram)
+                    assert involution(diagram) == partner
+                    if partner is not None:
+                        assert involution(partner) == diagram
+                    for built, image in ((diagram, partner), (partner, diagram)):
                         if built is not None:
                             again = _rebuilt(built)
+                            assert involution(again) == image
                             assert again == built
                             assert hash(again) == hash(built)
                             assert again.weight() == built.weight()
@@ -286,6 +302,10 @@ def test_unchecked_diagrams_are_valid():
                                     + sum(j * v for j, v in enumerate(st.labels)))
                                 assert hash(st) == hash(st_again) == hash(
                                     (st.row_len, st.above, st.labels))
+                                assert st.full_rows() == st_again.full_rows()
+                                for kept in _memoized(st):
+                                    assert _rebuilt_stack(kept) == kept
+                                    assert hash(_rebuilt_stack(kept)) == hash(kept)
 
 
 def test_diagrams_of_weight_edge_cases():

@@ -78,6 +78,19 @@ def test_poly_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@given(small_polys, small_polys, st.integers(-3, 3), st.integers(0, 3))
+@settings(max_examples=60)
+def test_poly_arithmetic_builds_checked_polys(a, b, c, k):
+    # the arithmetic builds its results unchecked; each is the polynomial
+    # the checking constructor makes of its coefficients, zeros stripped
+    for result in (a + b, a - b, c - a, a + c, -a, a * b, a * c, c * a,
+                   a.shift(k)):
+        again = TPoly(result.coeffs)
+        assert result == again
+        assert hash(result) == hash(again)
+        assert result.coeffs[-1:] != (0,)
+
+
 @given(nonzero_polys, nonzero_polys)
 @settings(max_examples=60)
 def test_rat_inverse_pairs(a, b):

@@ -509,6 +509,34 @@ def test_involution_suite_reports_fixed_point_that_is_no_msequence(
     }
 
 
+def test_involution_suite_reports_partner_outside_the_walk(monkeypatch):
+    # the walk of (2, [2, 1]) loses the partners of two weight-1 pairs of
+    # opposite signs that it meets after their diagrams: the signed count
+    # and the fixed points stay, so only the partners left over show it
+    real = verify.diagrams_up_to
+    walk = list(real(2, [2, 1], 4))
+    later = {}
+    for i, diagram in enumerate(walk):
+        partner = verify.involution(diagram)
+        if (diagram.weight() == 1 and partner is not None
+                and walk.index(partner) > i):
+            later.setdefault(diagram.sign(), partner)
+    dropped = set(later.values())
+    assert len(dropped) == 2
+    monkeypatch.setattr(verify, "diagrams_up_to", lambda k, lam, d: (
+        x for x in real(k, lam, d)
+        if not ((k, lam) == (2, [2, 1]) and x in dropped)
+    ))
+    report = run_suite("involution", n_max=3, k_max=2, degree_max=4)
+    assert (report["status"], report["cases"]) == ("fail", 60)
+    assert report["counterexample"] == {
+        "case": [3, 2, [2, 1], 1],
+        "reason": "partner is not a diagram of the walk",
+        "object": {"stacks": [{"row_len": 1, "above": [], "labels": [0]},
+                              {"row_len": 2, "above": [], "labels": [2, 1]}]},
+    }
+
+
 def test_bijection_suite_reports_weight_faults(monkeypatch):
     # each direction asserts that it keeps the weight; the suite reports
     # the failed assertion as that direction's counterexample
