@@ -18,17 +18,26 @@ and match the sequence against the walk of that path; the zero pairs the
 sequence skips mark the decorated rows.  Between two segment pairs of a
 walk the zero pairs descend strictly, so each zero pair of the sequence
 matches exactly one of them, and the greedy match is the only match.
+
+The walk is a function of the path alone, and a path is its area sequence,
+an immutable tuple, so ``_walk`` is computed once per path value per
+process and returned as a tuple: the forward map of every decoration of a
+path, and the inverse's rebuilt copy of that path, read the same entry.
+There are 625 Dyck paths with n <= 7, against 10,871 decorated paths.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .dyck import DecoratedDyckPath, DyckPath
 from .msequences import MSequence
 
 
+@lru_cache(maxsize=None)
 def _walk(path):
     """(row, pair) for every row of the path, in the order of the steps the
-    pairs rest on.
+    pairs rest on, as a tuple; one per path value, built once.
 
     Diagonal d holds the lattice points with y - x = d, and the North step
     of a row of area a ends on diagonal a + 1.  The pair of a row that does
@@ -55,7 +64,7 @@ def _walk(path):
         for d in range(a + 1, alpha[row], -1):
             if d in waiting:
                 walk.append((waiting.pop(d), (d, 0)))
-    return walk
+    return tuple(walk)
 
 
 def decorated_to_msequence(decorated):

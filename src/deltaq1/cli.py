@@ -73,10 +73,18 @@ def _cmd_verify(args):
 
 
 # json.loads raises RecursionError on deeply nested input
-def _read_object(raw):
+def _read_object(raw, *keys):
+    """The JSON object ``raw`` (or stdin, for "-"), which must hold
+    ``keys``; ValueError names what is wrong in one line."""
     if raw == "-":
         raw = sys.stdin.read()
-    return json.loads(raw)
+    data = json.loads(raw)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError("missing key %r" % key)
+    return data
 
 
 # The bijection's time and memory grow linearly with the rows of the path
@@ -93,10 +101,11 @@ def _check_rows(rows):
 
 def _cmd_phi(args):
     try:
-        decorated = DecoratedDyckPath.from_json(_read_object(args.object))
+        decorated = DecoratedDyckPath.from_json(
+            _read_object(args.object, "area_seq", "decorated_rows"))
         _check_rows(decorated.path.n)
         seq = decorated_to_msequence(decorated)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as err:
+    except (ValueError, TypeError, OverflowError, RecursionError) as err:
         print("invalid decorated path: %s" % err, file=sys.stderr)
         return 1
     print(json.dumps(seq.to_json()))
@@ -105,10 +114,10 @@ def _cmd_phi(args):
 
 def _cmd_phi_inverse(args):
     try:
-        seq = MSequence.from_json(_read_object(args.object))
+        seq = MSequence.from_json(_read_object(args.object, "pairs"))
         _check_rows(sum(seq.bvec()))
         decorated = msequence_to_decorated(seq)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as err:
+    except (ValueError, TypeError, OverflowError, RecursionError) as err:
         print("invalid sequence: %s" % err, file=sys.stderr)
         return 1
     print(json.dumps(decorated.to_json()))

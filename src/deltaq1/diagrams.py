@@ -21,21 +21,31 @@ check every rule above.  ``diagrams_up_to``, ``split`` and ``combine`` build
 their objects through the unchecked ``_of``, since they make them valid by
 construction; ``test_diagrams`` rebuilds what they make through the
 checking constructors.  ``split`` and ``combine`` write the partitions they
-make as already sorted tuples (``Partition._of``), and ``diagrams_up_to``
-builds each stack once per walk.  A stack keeps its partition's size, its
-full-row count, its weight and its hash, which the walk reads for every
-diagram.
+make as already sorted tuples (``Partition._of``).  A stack keeps its
+partition's size, its full-row count, its weight and its hash, which the
+walk reads for every diagram.
+
+``diagrams_up_to`` knows each diagram's weight, the labels' weight plus the
+partition sizes it chose, and its sign, which depends only on the
+partition of k+1 that the row lengths rearrange, so it hands both to
+``LabeledDiagram._of``.  A diagram made by a move computes its own weight
+and sign from its stacks, on first use, so comparing a diagram of the walk
+with its partner compares two independent computations.  The walk keeps
+one object per stack value in a pool that it shares with the stacks it
+builds: the walk's own stacks and the halves and merges of its moves are
+drawn from it, so two diagrams with equal stacks hold the same stack
+objects, and comparing them never reaches ``ColumnStack.__eq__``.
 
 A move reads one stack (a split) or one stack and the label and height of
 the cell before it (a combine), so each stack also keeps what its moves
 build: its two halves, made on the first split, and the stack it merges
 into for each (label, height) it has absorbed.  ``split``, ``combine`` and
-``involution`` share these; the walk's stacks, and their memos, die with
-the walk.  The memo holds only those per-stack results, each a function of
-its key alone: the guard of a combine is evaluated on every call, and the
-diagram a move makes is new, so the suite's pair laws (equal weight,
-opposite sign, each the other's image, compared by structure) are checked
-on every pair as before.
+``involution`` share these; the walk's stacks, their memos and its pool
+die with the walk.  The memo holds only those per-stack results, each a
+function of its key alone: the guard of a combine is evaluated on every
+call, and the diagram a move makes is new, so the suite's pair laws (equal
+weight, opposite sign, each the other's image, compared by structure) are
+checked on every pair as before.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ class ColumnStack:
     """One base row of ``row_len`` labeled cells with a partition above it."""
 
     __slots__ = ("_row_len", "_above", "_labels", "_size", "_full", "_weight",
-                 "_hash", "_split_memo", "_merge_memo")
+                 "_hash", "_split_memo", "_merge_memo", "_pool")
 
     def __init__(self, row_len, above, labels):
         (row_len,) = int_entries([row_len])
@@ -73,17 +83,24 @@ class ColumnStack:
             raise ValueError("labels must be nonnegative")
         if above and above[0] > row_len:
             raise ValueError("partition %r too wide for row of %d" % (above, row_len))
-        self._set(row_len, above, labels)
+        # the stacks its moves build share a pool of their own
+        self._set(row_len, above, labels, {})
 
     @classmethod
-    def _of(cls, row_len, above, labels):
-        """Unchecked: ``above`` a Partition, ``labels`` a tuple of ints, and
-        together a valid stack."""
-        stack = object.__new__(cls)
-        stack._set(row_len, above, labels)
+    def _of(cls, pool, row_len, parts, labels):
+        """Unchecked: ``parts`` a sorted tuple, ``labels`` a tuple of ints,
+        and together a valid stack.  ``pool`` maps each value to its one
+        stack, and is shared by the stacks of a walk and those their moves
+        build."""
+        key = row_len, parts, labels
+        stack = pool.get(key)
+        if stack is None:
+            stack = pool[key] = object.__new__(cls)
+            stack._set(row_len, Partition._of(parts), labels, pool)
         return stack
 
-    def _set(self, row_len, above, labels):
+    def _set(self, row_len, above, labels, pool):
+        self._pool = pool
         self._row_len, self._above, self._labels = row_len, above, labels
         self._size = above.size
         self._full = above.multiplicity(row_len)
@@ -97,9 +114,9 @@ class ColumnStack:
         each give their last cell to the column and gain c more."""
         if self._split_memo is None:
             r, full, c = self._row_len, self._full, self._labels[-1]
-            head = ColumnStack._of(1, Partition._of((1,) * full), (c,))
+            head = ColumnStack._of(self._pool, 1, (1,) * full, (c,))
             rest = (r - 1,) * (full + c) + self._above.parts[full:]
-            tail = ColumnStack._of(r - 1, Partition._of(rest), self._labels[:-1])
+            tail = ColumnStack._of(self._pool, r - 1, rest, self._labels[:-1])
             self._split_memo = head, tail
         return self._split_memo
 
@@ -114,7 +131,7 @@ class ColumnStack:
             r, full = self._row_len, self._full
             merged = ((r + 1,) * height + (r,) * (full - c - height)
                       + self._above.parts[full:])
-            big = ColumnStack._of(r + 1, Partition._of(merged), self._labels + (c,))
+            big = ColumnStack._of(self._pool, r + 1, merged, self._labels + (c,))
             self._merge_memo[c, height] = big
         return big
 
@@ -169,7 +186,7 @@ class LabeledDiagram:
     """An ordered sequence of stacks whose row lengths rearrange a partition
     of k+1 and whose nonzero labels place the parts of lam."""
 
-    __slots__ = ("_stacks", "_lam")
+    __slots__ = ("_stacks", "_lam", "_weight", "_sign")
 
     def __init__(self, stacks, lam):
         stacks = tuple(stacks)
@@ -187,13 +204,16 @@ class LabeledDiagram:
                 "labels %r do not place the parts of %r" % (placed, lam)
             )
         self._stacks, self._lam = stacks, lam
+        self._weight = self._sign = None
 
     @classmethod
-    def _of(cls, stacks, lam):
+    def _of(cls, stacks, lam, weight=None, sign=None):
         """Unchecked: ``stacks`` a tuple of stacks, ``lam`` a Partition, and
-        together a valid diagram."""
+        together a valid diagram; its weight and sign, when the caller
+        knows them, or None to compute them on first use."""
         diagram = object.__new__(cls)
         diagram._stacks, diagram._lam = stacks, lam
+        diagram._weight, diagram._sign = weight, sign
         return diagram
 
     @property
@@ -205,10 +225,14 @@ class LabeledDiagram:
         return self._lam
 
     def sign(self):
-        return parity_sign([st._row_len for st in self._stacks])
+        if self._sign is None:
+            self._sign = parity_sign([st._row_len for st in self._stacks])
+        return self._sign
 
     def weight(self):
-        return sum(st._weight for st in self._stacks)
+        if self._weight is None:
+            self._weight = sum(st._weight for st in self._stacks)
+        return self._weight
 
     def __eq__(self, other):
         if not isinstance(other, LabeledDiagram):
@@ -307,22 +331,27 @@ def diagrams_up_to(k, lam, degree_max):
     if len(lam) > k + 1:
         return
     # (row length, labels, cap) -> the stacks of each partition size s, for
-    # every s the labels leave room for; local, so the stacks die with the walk
+    # every s the labels leave room for, drawn from the pool of this walk's
+    # stacks; both local, so the stacks die with the walk
     table = {}
+    pool = {}
     for mu in partitions_of(k + 1):
+        sign = parity_sign(mu)
         for arrangement in distinct_orderings(mu.parts):
             caps = (arrangement[0] - 1,) + arrangement[1:]
             ends = list(accumulate(arrangement))
             for flat in padded_rearrangements(lam, k + 1):
                 chunks = [flat[end - rl : end] for rl, end in zip(arrangement, ends)]
                 offsets = [sum(j * v for j, v in enumerate(chunk)) for chunk in chunks]
-                room = degree_max - sum(offsets)
+                # the labels' weight; the partitions add their sizes, cuts[-1]
+                label_weight = sum(offsets)
+                room = degree_max - label_weight
                 # by_size[i][s]: the stacks at position i whose partition has size s
                 by_size = []
                 for rl, chunk, cap, offset in zip(arrangement, chunks, caps, offsets):
                     key = rl, chunk, cap
                     if key not in table:
-                        table[key] = [[ColumnStack._of(rl, above, chunk)
+                        table[key] = [[ColumnStack._of(pool, rl, above.parts, chunk)
                                        for above in partitions_of(s, max_part=cap)]
                                       for s in range(degree_max - offset + 1)]
                     by_size.append(table[key])
@@ -333,8 +362,9 @@ def diagrams_up_to(k, lam, degree_max):
                         continue
                     choices = [column[b - a]
                                for column, a, b in zip(by_size, (0,) + cuts, cuts)]
+                    weight = label_weight + cuts[-1]
                     for stacks in product(*choices):
-                        yield LabeledDiagram._of(stacks, lam)
+                        yield LabeledDiagram._of(stacks, lam, weight, sign)
 
 
 def diagram_count(k, lam, degree_max):

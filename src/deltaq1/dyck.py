@@ -4,10 +4,20 @@ A path is its area sequence.  Decorations mark rows whose area is
 discounted, plus optionally the origin.  The constructors take integers
 only: an entry that is not an int (a float, bool, string or None) raises
 TypeError rather than being truncated.
+
+A path keeps its rises and its runs, each computed on first use from the
+area sequence, which is an immutable tuple; ``rises()`` and ``runs()``
+hand out fresh lists, so a caller cannot change what the path keeps.
+``enumerate_paths`` builds one tuple of paths per n, once per process, so
+what they keep serves every k, and ``enumerate_decorated`` builds from it.
+Both build through the unchecked ``_of``, since their objects are valid by
+construction; ``test_dyck`` rebuilds each through the checking
+constructors.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .partitions import Partition, int_entries
@@ -18,7 +28,7 @@ class DyckPath:
     """Lattice path from (0,0) to (n,n) weakly above the diagonal, stored as
     the per-row area sequence (alpha_1, ..., alpha_n)."""
 
-    __slots__ = ("_alpha",)
+    __slots__ = ("_alpha", "_rises", "_runs")
 
     def __init__(self, area_seq):
         alpha = int_entries(area_seq)
@@ -32,6 +42,15 @@ class DyckPath:
                     "invalid area sequence %r at row %d" % (alpha, i + 1)
                 )
         self._alpha = alpha
+        self._rises = self._runs = None
+
+    @classmethod
+    def _of(cls, alpha):
+        """Unchecked: ``alpha`` a tuple of ints that is an area sequence."""
+        path = object.__new__(cls)
+        path._alpha = alpha
+        path._rises = path._runs = None
+        return path
 
     @property
     def area_seq(self):
@@ -48,32 +67,39 @@ class DyckPath:
         """Area of row i (1-based)."""
         return self._alpha[i - 1]
 
+    def _rise_rows(self):
+        """The rows of ``rises()`` as a tuple, kept after the first call."""
+        if self._rises is None:
+            alpha = self._alpha
+            self._rises = tuple(i for i in range(2, len(alpha) + 1)
+                                if alpha[i - 2] == alpha[i - 1] - 1)
+        return self._rises
+
+    def _run_pairs(self):
+        """The pairs of ``runs()`` as a tuple, kept after the first call."""
+        if self._runs is None:
+            starts = self.run_starts()
+            ends = starts[1:] + [self.n + 1]
+            self._runs = tuple((s, end - s) for s, end in zip(starts, ends))
+        return self._runs
+
     def rises(self):
         """Rows i >= 2 whose North step directly follows the one below,
         i.e. alpha_{i-1} = alpha_i - 1.  These are the decorable rows."""
-        return [
-            i
-            for i in range(2, self.n + 1)
-            if self._alpha[i - 2] == self._alpha[i - 1] - 1
-        ]
+        return list(self._rise_rows())
 
     def run_starts(self):
         """Rows that begin a maximal vertical segment."""
-        rises = set(self.rises())
+        rises = set(self._rise_rows())
         return [i for i in range(1, self.n + 1) if i not in rises]
 
     def runs(self):
         """Maximal vertical segments as (start row, length) pairs."""
-        starts = self.run_starts()
-        out = []
-        for idx, s in enumerate(starts):
-            end = starts[idx + 1] if idx + 1 < len(starts) else self.n + 1
-            out.append((s, end - s))
-        return out
+        return list(self._run_pairs())
 
     def vertical_run_partition(self):
         """The partition of n formed by vertical segment lengths."""
-        return Partition(length for _, length in self.runs())
+        return Partition(length for _, length in self._run_pairs())
 
     def __eq__(self, other):
         if not isinstance(other, DyckPath):
@@ -87,21 +113,23 @@ class DyckPath:
         return "DyckPath(%s)" % list(self._alpha)
 
 
+@lru_cache(maxsize=None)
 def enumerate_paths(n):
-    """All Dyck paths in the n x n square, ordered by area sequence."""
+    """All Dyck paths in the n x n square, ordered by area sequence: one
+    tuple per n, built once, so what its paths keep outlives each caller."""
     if n < 1:
         raise ValueError("n must be positive")
     out = []
 
     def rec(prefix):
         if len(prefix) == n:
-            out.append(DyckPath(prefix))
+            out.append(DyckPath._of(tuple(prefix)))
             return
         for nxt in range(prefix[-1] + 2):
             rec(prefix + [nxt])
 
     rec([0])
-    return out
+    return tuple(out)
 
 
 def decoration_weights(path, max_count):
@@ -135,6 +163,14 @@ class DecoratedDyckPath:
         if bad:
             raise ValueError("rows %s cannot carry a decoration" % sorted(bad))
         self._path, self._rows = path, rows
+
+    @classmethod
+    def _of(cls, path, rows):
+        """Unchecked: ``rows`` a frozenset of rows that ``path`` may
+        decorate."""
+        decorated = object.__new__(cls)
+        decorated._path, decorated._rows = path, rows
+        return decorated
 
     @property
     def path(self):
@@ -189,5 +225,5 @@ def enumerate_decorated(n, k):
     for path in enumerate_paths(n):
         candidates = [0] + path.rises()
         for chosen in combinations(candidates, n - k):
-            out.append(DecoratedDyckPath(path, chosen))
+            out.append(DecoratedDyckPath._of(path, frozenset(chosen)))
     return out

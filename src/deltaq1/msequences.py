@@ -27,6 +27,10 @@ The object enumerators (``msequences``, ``osp_sequences``,
 involution and the tests.  ``MSequence`` is the one check of admissibility:
 an ordered set partition sequence is valid when its (a_i, |B_i|) are an
 M-sequence, and a tableau sequence when its (a_i, content_i) are.
+``msequences`` builds the sequences it lists through the unchecked
+``MSequence._of``, since admissible vectors over an ordering of lam are
+M-sequences by construction; ``test_msequences`` rebuilds each through the
+checking constructor.
 """
 
 from __future__ import annotations
@@ -232,6 +236,14 @@ class MSequence:
                 )
         self._pairs = pairs
 
+    @classmethod
+    def _of(cls, pairs):
+        """Unchecked: ``pairs`` a tuple of (a, b) int pairs that is an
+        M-sequence."""
+        seq = object.__new__(cls)
+        seq._pairs = pairs
+        return seq
+
     @property
     def pairs(self):
         return self._pairs
@@ -283,7 +295,7 @@ def msequences(lam, k):
     out = []
     for bvec in padded_rearrangements(lam, k + 1):
         for avec in admissible_avectors(bvec):
-            out.append(MSequence(zip(avec, bvec)))
+            out.append(MSequence._of(tuple(zip(avec, bvec))))
     return out
 
 
@@ -312,6 +324,14 @@ class OSPSequence:
             raise ValueError("blocks must cover {1..n}")
         MSequence((a, len(block)) for a, block in pairs)
         self._pairs = pairs
+
+    @classmethod
+    def _of(cls, pairs):
+        """Unchecked: ``pairs`` a tuple of (a, b) int pairs that is an
+        M-sequence."""
+        seq = object.__new__(cls)
+        seq._pairs = pairs
+        return seq
 
     @property
     def pairs(self):

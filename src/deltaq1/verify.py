@@ -8,6 +8,9 @@ cases in order up to the first counterexample.  A suite with no cases
 reports "empty", never a vacuous "pass".  The checks of one run share
 ``run``, a dict of what later cases reuse: eq2's Dyck paths of one n,
 haglund's Delta image of one (n, k), involution's walk of one (k, lam).
+The bijection suite keeps only the set of images of each run partition,
+and the involution's pair memo is keyed by a partner's stacks, since lam
+is the same for every diagram of one walk.
 Haglund's identity reads the dual side off
 ``specialize.forgotten_coefficient``, exact numerators divided by their
 common denominator, and hilbert reads the image's e-coefficients, so no
@@ -26,6 +29,7 @@ from typing import Callable, NamedTuple
 
 from .bijection import decorated_to_msequence, msequence_to_decorated
 from .diagrams import (
+    LabeledDiagram,
     diagram_count,
     diagrams_up_to,
     fixed_to_msequence,
@@ -104,7 +108,7 @@ def _bijection(case, run):
     """Round trips in both directions, with weight transport and matching
     object counts for every (n, k, run partition)."""
     n, k = case
-    seen = {}
+    images = {}  # run partition -> the M-sequences reached
     for decorated in enumerate_decorated(n, k):
         # each direction asserts that it keeps the weight
         try:
@@ -121,11 +125,11 @@ def _bijection(case, run):
             return {"n": n, "k": k, "object": decorated.to_json(),
                     "reason": "round trip failed"}
         lam = decorated.path.vertical_run_partition()
-        seen.setdefault(lam, {})[seq] = back
+        images.setdefault(lam, set()).add(seq)
     for lam in partitions_of(n):
         expected = msequences(lam, k)
-        got = seen.get(lam, {})
-        if len(expected) != len(got) or set(expected) != got.keys():
+        got = images.get(lam, set())
+        if len(expected) != len(got) or set(expected) != got:
             return {"n": n, "k": k, "partition": lam.to_json(),
                     "reason": "image does not exhaust the M-sequences"}
     return None
@@ -149,12 +153,13 @@ def _involution_verdicts(n, k, lam, degree_max, audit):
     fixed = [[] for _ in signed]
     verdicts = [None] * len(signed)
     pairings = []
-    # partner -> the diagram that passed with it, not yet met; True in place
-    # of that diagram unless the audit pairings read it back
+    # partner's stacks -> the diagram that passed with it, not yet met; True
+    # in place of that diagram unless the audit pairings read it back.  Every
+    # diagram of the walk has the same lam, so its stacks are the key.
     mates = {}
     for diagram in diagrams_up_to(k, lam, degree_max):
         w = diagram.weight()
-        mate = mates.pop(diagram, None)
+        mate = mates.pop(diagram.stacks, None)
         if verdicts[w]:
             continue
         signed[w] += diagram.sign()
@@ -180,14 +185,15 @@ def _involution_verdicts(n, k, lam, degree_max, audit):
         elif involution(partner) != diagram:
             reason = "not an involution"
         else:
-            mates[partner] = diagram if w == audit else True
+            mates[partner.stacks] = diagram if w == audit else True
             if w == audit:
                 pairings.append({"diagram": diagram.to_json(),
                                  "partner": partner.to_json()})
         if reason:
             verdicts[w] = {"case": [n, k, lam.to_json(), w], "reason": reason,
                            "object": diagram.to_json()}
-    for partner in mates:
+    for stacks in mates:
+        partner = LabeledDiagram._of(stacks, lam)
         w = partner.weight()
         if not verdicts[w]:
             verdicts[w] = {"case": [n, k, lam.to_json(), w],

@@ -72,6 +72,22 @@ def test_inverse_round_trip_exhaustive():
                     assert decorated_to_msequence(decorated) == seq
 
 
+def test_walk_memo_is_keyed_by_path_value():
+    # _walk keeps one walk per path value: the enumerated path, a rebuilt
+    # path and the walk computed afresh agree, and a caller that mutates the
+    # rises of a new path changes neither its walk nor the kept one
+    uncached = _walk.__wrapped__
+    for n in range(1, 8):
+        for path in enumerate_paths(n):
+            walk = _walk(path)
+            assert isinstance(walk, tuple)
+            assert walk == uncached(path) == _walk(DyckPath(path.area_seq))
+            fresh = DyckPath(path.area_seq)
+            fresh.rises().append(n + 1)
+            fresh.rises().clear()
+            assert uncached(fresh) == walk == _walk(fresh)
+
+
 def test_window_chains_strict():
     # the walk gives every row one pair, and its zero pairs descend strictly
     # between segment pairs: the inverse's greedy match relies on both

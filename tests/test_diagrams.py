@@ -15,7 +15,7 @@ from deltaq1.diagrams import (
     split,
 )
 from deltaq1.msequences import msequence_polynomial, msequences
-from deltaq1.partitions import Partition, partitions_of
+from deltaq1.partitions import Partition, parity_sign, partitions_of
 from deltaq1.verify import _MAX_K
 
 
@@ -279,11 +279,16 @@ def test_unchecked_diagrams_are_valid():
     # each stack keeps its split and its merges: a diagram's partner, asked
     # for twice, equals the partner of its rebuilt copy (new stacks, no
     # memo), the partner and its rebuilt copy both map back, and every
-    # memoized half and merge rebuilds.
+    # memoized half and merge rebuilds.  The walk hands each diagram its
+    # weight and sign, which equal those its stacks give.
     for k in (1, 2, 3):
         for n in range(5):
             for lam in partitions_of(n):
                 for diagram in diagrams_up_to(k, lam, 6):
+                    assert diagram.weight() == sum(
+                        st.weight() for st in diagram.stacks)
+                    assert diagram.sign() == parity_sign(
+                        [st.row_len for st in diagram.stacks])
                     partner = involution(diagram)
                     assert involution(diagram) == partner
                     if partner is not None:
@@ -306,6 +311,19 @@ def test_unchecked_diagrams_are_valid():
                                 for kept in _memoized(st):
                                     assert _rebuilt_stack(kept) == kept
                                     assert hash(_rebuilt_stack(kept)) == hash(kept)
+
+
+def test_walk_shares_one_stack_per_value():
+    # the walk and the moves of its diagrams draw their stacks from one pool,
+    # so a partner holds the very stacks of the walk's equal diagram
+    for k in (1, 2, 3):
+        for lam in partitions_of(3):
+            walk = {x.stacks: x for x in diagrams_up_to(k, lam, 5)}
+            for diagram in walk.values():
+                partner = involution(diagram)
+                if partner is not None:
+                    mate = walk[partner.stacks]
+                    assert all(a is b for a, b in zip(partner.stacks, mate.stacks))
 
 
 def test_diagrams_of_weight_edge_cases():

@@ -100,6 +100,32 @@ def test_enumerate_decorated_examples():
         assert d.rows == frozenset()
 
 
+def test_enumerated_decorated_paths_are_valid():
+    # enumerate_paths and enumerate_decorated build through the unchecked
+    # _of; each object rebuilds through the checking constructors, equal, with
+    # an equal hash, and with the rises and runs of its rebuild
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for decorated in enumerate_decorated(n, k):
+                path = DyckPath(decorated.path.area_seq)
+                rebuilt = DecoratedDyckPath(path, decorated.decorations())
+                assert rebuilt == decorated and hash(rebuilt) == hash(decorated)
+                assert decorated.path.rises() == path.rises()
+                assert decorated.path.runs() == path.runs()
+
+
+def test_kept_rises_and_runs_are_copied_out():
+    # a path keeps its rises and runs; what a caller gets is its own list
+    for path in enumerate_paths(5):
+        path.rises().append(0)
+        path.runs().clear()
+        rebuilt = DyckPath(path.area_seq)
+        assert path.rises() == rebuilt.rises()
+        assert path.runs() == rebuilt.runs()
+        assert path.run_starts() == [s for s, _ in rebuilt.runs()]
+    assert enumerate_paths(5) is enumerate_paths(5)
+
+
 def test_decorated_area_nonnegative():
     for n in range(1, 7):
         for k in range(1, n + 1):

@@ -59,6 +59,19 @@ def test_msequence_validation():
         MSequence([(0, 2), (-1, 0)])
 
 
+def test_enumerated_msequences_are_valid():
+    # msequences builds through the unchecked MSequence._of; each sequence
+    # rebuilds through the checking constructor, equal and with an equal
+    # hash (a list where a tuple belongs would hash differently or not at all)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for lam in partitions_of(n):
+                for seq in msequences(lam, k):
+                    rebuilt = MSequence(seq.pairs)
+                    assert rebuilt == seq and hash(rebuilt) == hash(seq)
+                    assert rebuilt.lam() == lam
+
+
 def test_enumerated_msequences_reject_upward_mutation():
     for lam in partitions_of(4):
         for k in (1, 2, 3):

@@ -599,6 +599,16 @@ def test_phi_rejects_bad_objects(capsys):
          "decorated_rows": [4, 4, 6, 10]}))
     assert (code, out) == (1, "")
     assert err == "invalid decorated path: decorated rows must be distinct\n"
+    # a JSON value that is not an object, or an object without its key
+    for command, raw, message in (
+        ("phi", '{"area_seq": [0, 1]}',
+         "invalid decorated path: missing key 'decorated_rows'"),
+        ("phi", "[0, 1]", "invalid decorated path: expected a JSON object"),
+        ("phi-inverse", '{"area_seq": [0, 1]}',
+         "invalid sequence: missing key 'pairs'"),
+        ("phi-inverse", "[[0, 1]]", "invalid sequence: expected a JSON object"),
+    ):
+        assert run_cli(capsys, command, raw) == (1, "", message + "\n")
     # int() would truncate 2.7 and read true and "2" as numbers, so the
     # command would report success on a different object
     for command, raw, bad in (
