@@ -28,7 +28,7 @@ class DyckPath:
     """Lattice path from (0,0) to (n,n) weakly above the diagonal, stored as
     the per-row area sequence (alpha_1, ..., alpha_n)."""
 
-    __slots__ = ("_alpha", "_rises", "_runs")
+    __slots__ = ("_alpha", "_rises", "_runs", "_lam")
 
     def __init__(self, area_seq):
         alpha = int_entries(area_seq)
@@ -42,14 +42,14 @@ class DyckPath:
                     "invalid area sequence %r at row %d" % (alpha, i + 1)
                 )
         self._alpha = alpha
-        self._rises = self._runs = None
+        self._rises = self._runs = self._lam = None
 
     @classmethod
     def _of(cls, alpha):
         """Unchecked: ``alpha`` a tuple of ints that is an area sequence."""
         path = object.__new__(cls)
         path._alpha = alpha
-        path._rises = path._runs = None
+        path._rises = path._runs = path._lam = None
         return path
 
     @property
@@ -98,8 +98,11 @@ class DyckPath:
         return list(self._run_pairs())
 
     def vertical_run_partition(self):
-        """The partition of n formed by vertical segment lengths."""
-        return Partition(length for _, length in self._run_pairs())
+        """The partition of n formed by vertical segment lengths, kept after
+        the first call (a ``Partition`` is immutable)."""
+        if self._lam is None:
+            self._lam = Partition(length for _, length in self._run_pairs())
+        return self._lam
 
     def __eq__(self, other):
         if not isinstance(other, DyckPath):

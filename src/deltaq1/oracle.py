@@ -28,9 +28,8 @@ def elementary_eigenvalue(mu, k):
         raise ValueError("k must be nonnegative")
     coeffs = [ONE] + [TPoly()] * k
     for power in _staircase_monomials(mu):
-        mono = TPoly.t_power(power)
         for j in range(k, 0, -1):
-            coeffs[j] = coeffs[j] + coeffs[j - 1] * mono
+            coeffs[j] = coeffs[j] + coeffs[j - 1].shift(power)
     return coeffs[k]
 
 

@@ -4,7 +4,10 @@ Bases: e (elementary), h (complete homogeneous), m (monomial), p (power
 sum), s (Schur), f (forgotten).  Every conversion pivots through the power
 sum basis, where the Hall inner product and the geometric plethysm
 X -> X/(1-t) are diagonal.  Transition tables are built once per degree
-and cached; all entries are exact rationals.
+and cached; all entries are exact rationals.  ``convert`` puts its input
+over one denominator, n! times the lcm of the coefficients' denominators,
+so the tables act on integer polynomial numerators, and it reduces one
+``TRat`` per output coefficient.
 
 Each p_mu has integer coefficients in every basis, and each row of the
 p -> basis tables (``_from_p``) has a closed form:
@@ -29,10 +32,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .partitions import Partition, parity_sign, partitions_of, zee
-from .tarith import TRat, TPoly, ONE, RAT_ZERO
+from .tarith import TRat, TPoly, ONE, RAT_ZERO, divexact, poly_gcd
 
 BASES = ("e", "h", "m", "p", "s", "f")
 
@@ -185,6 +188,28 @@ def _from_p(basis, n):
     return rows
 
 
+def _lcm(a, b):
+    """Least common multiple of two denominators (nonzero integer
+    polynomials with positive leading coefficients), content included."""
+    if a.degree <= 0 and b.degree <= 0:
+        return TPoly._of((lcm(a.leading(), b.leading()),))
+    if a.degree <= 0:
+        a, b = b, a
+    if b.degree <= 0:
+        return a * (b.leading() // gcd(a.content(), b.leading()))
+    # Gauss's lemma: the gcd is the gcd of the contents times the primitive gcd.
+    quot = divexact(b, poly_gcd(a, b))
+    return a * TPoly._of(x // gcd(a.content(), b.content()) for x in quot.coeffs)
+
+
+def _add_multiple(acc, k, coeffs):
+    """acc += k * coeffs, on coefficient lists."""
+    if len(acc) < len(coeffs):
+        acc.extend([0] * (len(coeffs) - len(acc)))
+    for i, x in enumerate(coeffs):
+        acc[i] += k * x
+
+
 class SymFuncExpr:
     """A homogeneous symmetric function: basis tag plus a finite map from
     partitions of the degree to TRat coefficients (zeros pruned)."""
@@ -252,26 +277,44 @@ class SymFuncExpr:
         return "SymFuncExpr{%s}" % bits
 
     def convert(self, target):
-        """The same symmetric function written in the target basis."""
+        """The same symmetric function written in the target basis.
+
+        The tables are integer matrices once every p-coefficient is scaled
+        by n! (each z_mu divides n!), so the map runs on integer polynomial
+        numerators over one denominator: n! times the lcm of the input's
+        denominators.  Each output coefficient is reduced once, at the end.
+        """
         if target not in BASES:
             raise ValueError("unknown basis %r" % (target,))
         if target == self._basis:
             return self
+        n = self._degree
+        den = ONE
+        for c in self._terms.values():
+            den = _lcm(den, c.den)
+        scale = factorial(n)
         in_p = {}
-        to_p = _to_p(self._basis, self._degree)
+        to_p = _to_p(self._basis, n)
         for lam, c in self._terms.items():
+            if den.degree > 0:
+                num = (c.num * divexact(den, c.den)).coeffs
+            else:
+                num = (c.num * (den.leading() // c.den.leading())).coeffs
             for mu, scalar in to_p[lam.parts].items():
-                in_p[mu] = in_p.get(mu, RAT_ZERO) + c * scalar
+                _add_multiple(in_p.setdefault(mu, []),
+                              scalar.numerator * (scale // scalar.denominator), num)
         if target == "p":
-            return SymFuncExpr(self._degree, "p", in_p)
-        out = {}
-        from_p = _from_p(target, self._degree)
-        for mu, c in in_p.items():
-            if c.is_zero():
-                continue
-            for lam, scalar in from_p[mu].items():
-                out[lam] = out.get(lam, RAT_ZERO) + c * scalar
-        return SymFuncExpr(self._degree, target, out)
+            out = in_p
+        else:
+            out = {}
+            from_p = _from_p(target, n)
+            for mu, num in in_p.items():
+                for lam, scalar in from_p[mu].items():
+                    _add_multiple(out.setdefault(lam, []), scalar, num)
+        den = den * scale
+        return SymFuncExpr(n, target, {
+            lam: TRat(TPoly._of(num), den) for lam, num in out.items() if any(num)
+        })
 
     def to_json(self):
         out = []

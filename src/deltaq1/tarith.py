@@ -7,12 +7,13 @@ Two value types, both immutable:
 
 Every quantity this package ultimately reports is an integer polynomial in
 t.  ``TRat`` is the field of the eigenoperator oracle: rationals appear only
-inside its basis transitions and intermediates.  ``specialize`` sums
-``TPoly`` numerators over one known denominator and divides it out with
-``divexact``.  The polynomial arithmetic behind ``TRat`` is over ``int``
-alone: ``poly_gcd`` is Euclid on primitive parts with pseudo-remainders,
-``divexact`` is integer long division, and a ratio with a constant
-numerator or denominator needs no gcd at all.
+among its intermediates (the plethysm, the Hall scalar product, the result
+of a basis conversion).  A basis conversion, like ``specialize``, sums
+integer polynomial numerators over one known denominator; ``specialize``
+then divides it out with ``divexact``.  The polynomial arithmetic behind
+``TRat`` is over ``int`` alone: ``poly_gcd`` is Euclid on primitive parts
+with pseudo-remainders, ``divexact`` is integer long division, and a ratio
+with a constant numerator or denominator needs no gcd at all.
 """
 
 from __future__ import annotations

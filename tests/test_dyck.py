@@ -123,6 +123,9 @@ def test_kept_rises_and_runs_are_copied_out():
         assert path.rises() == rebuilt.rises()
         assert path.runs() == rebuilt.runs()
         assert path.run_starts() == [s for s, _ in rebuilt.runs()]
+        assert path.vertical_run_partition() == Partition(
+            length for _, length in path.runs())
+        assert path.vertical_run_partition() is path.vertical_run_partition()
     assert enumerate_paths(5) is enumerate_paths(5)
 
 

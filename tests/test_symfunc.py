@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from deltaq1.symfunc import (
     hall_inner,
     plethysm_geometric,
 )
-from deltaq1.tarith import ONE, TPoly, TRat
+from deltaq1.tarith import ONE, RAT_ZERO, TPoly, TRat
 
 
 def elem(basis, parts, coeff=1):
@@ -156,6 +157,43 @@ def test_transition_tables_are_inverse():
                         row[nu] = row.get(nu, 0) + c * d
                 assert {nu: c for nu, c in row.items() if c} == {lam: 1}, (
                     basis, lam)
+
+
+def _termwise_convert(expr, target):
+    """The conversion as one reduced TRat sum per term, for reference."""
+    n, in_p = expr.degree, {}
+    for lam, c in expr.terms():
+        for mu, scalar in symfunc._to_p(expr.basis, n)[lam.parts].items():
+            in_p[mu] = in_p.get(mu, RAT_ZERO) + c * scalar
+    if target == "p":
+        return SymFuncExpr(n, "p", in_p)
+    out = {}
+    for mu, c in in_p.items():
+        for lam, scalar in symfunc._from_p(target, n)[mu].items():
+            out[lam] = out.get(lam, RAT_ZERO) + c * scalar
+    return SymFuncExpr(n, target, out)
+
+
+def test_convert_matches_termwise_reference():
+    # coefficients over constant, polynomial and mixed denominators, with
+    # integer content on both sides of a ratio
+    t = TPoly.t_power(1)
+    pool = [
+        0, 1, -3, 7, Fraction(2, 3), Fraction(-5, 12), TPoly([1, -2, 0, 1]),
+        TRat(ONE, ONE - t), TRat(ONE + t, 2 - 2 * t * t),
+        TRat(TPoly([3, 0, 1]), (ONE - t) * (ONE - t * t)),
+        TRat(TPoly([0, 4]), 6 + 3 * t * t), TRat(-1, 2 * t), TRat(5, 4 - 4 * t),
+    ]
+    rng = random.Random(20161)
+    for n in range(1, 6):
+        plist = partitions_of(n)
+        for source, target in itertools.product(BASES, repeat=2):
+            for _ in range(4):
+                terms = {lam: rng.choice(pool) for lam in plist
+                         if rng.random() < 0.7}
+                expr = SymFuncExpr(n, source, terms)
+                assert expr.convert(target) == _termwise_convert(expr, target), (
+                    n, source, target, terms)
 
 
 @st.composite
