@@ -23,7 +23,13 @@ The walk is a function of the path alone, and a path is its area sequence,
 an immutable tuple, so ``_walk`` is computed once per path value per
 process and returned as a tuple: the forward map of every decoration of a
 path, and the inverse's rebuilt copy of that path, read the same entry.
-There are 625 Dyck paths with n <= 7, against 10,871 decorated paths.
+The inverse takes that copy from ``_checked_path``, a cache of checked
+``DyckPath(alpha)`` keyed by the full area-sequence tuple.  Whether a
+tuple is an area sequence is a function of the tuple alone, so the check
+runs once per value, and the kept path keeps its rises and its area for
+every later inverse that rebuilds it; an invalid tuple raises and is not
+kept.  There are 625 Dyck paths with n <= 7, against 10,871 decorated
+paths.  Both directions read the weight through ``MSequence.rho()``.
 """
 
 from __future__ import annotations
@@ -67,6 +73,13 @@ def _walk(path):
     return tuple(walk)
 
 
+@lru_cache(maxsize=None)
+def _checked_path(alpha):
+    """``DyckPath(alpha)``, checked, for an area-sequence tuple; one per
+    value, built once, so the path keeps its rises for the next caller."""
+    return DyckPath(alpha)
+
+
 def decorated_to_msequence(decorated):
     """Map a decorated path to its M-sequence."""
     rows = decorated.rows
@@ -96,7 +109,7 @@ def msequence_to_decorated(seq):
     if not pairs:
         raise ValueError("nothing left after the origin marker")
 
-    path = DyckPath([a + i for a, b in pairs for i in range(b)])
+    path = _checked_path(tuple(a + i for a, b in pairs for i in range(b)))
     matched = 0
     for row, pair in _walk(path):
         if matched < len(pairs) and pair == pairs[matched]:

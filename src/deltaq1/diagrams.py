@@ -17,19 +17,24 @@ of sign -1 with one of sign +1 except the all-width-1 diagrams whose
 columns satisfy the M-sequence inequalities.
 
 The public constructors ``ColumnStack(...)`` and ``LabeledDiagram(...)``
-check every rule above.  ``diagrams_up_to``, ``split`` and ``combine`` build
-their objects through the unchecked ``_of``, since they make them valid by
-construction; ``test_diagrams`` rebuilds what they make through the
-checking constructors.  ``split`` and ``combine`` write the partitions they
-make as already sorted tuples (``Partition._of``).  A stack keeps its
-partition's size, its full-row count, its weight and its hash, which the
-walk reads for every diagram.
+check every rule above.  The walk and the moves build their objects
+through the unchecked ``_of``, since they make them valid by construction;
+``test_diagrams`` rebuilds what they make through the checking
+constructors.  Moves write the partitions they make as already sorted
+tuples (``Partition._of``).  A stack keeps its partition's size, its
+full-row count, its weight and its hash, which the walk reads for every
+diagram.
 
-``diagrams_up_to`` knows each diagram's weight, the labels' weight plus the
-partition sizes it chose, and its sign, which depends only on the
-partition of k+1 that the row lengths rearrange, so it hands both to
-``LabeledDiagram._of``.  A diagram made by a move computes its own weight
-and sign from its stacks, on first use, so comparing a diagram of the walk
+``_stack_walk`` is the walk.  It yields each diagram's stacks tuple with
+its weight, the labels' weight plus the partition sizes it chose, and its
+sign, which depends only on the partition of k+1 that the row lengths
+rearrange.  ``diagrams_up_to`` wraps each in ``LabeledDiagram._of``; the
+involution suite reads the tuples as they come, and builds a diagram only
+for what it reports.  ``_move`` is the one rule of the involution: the
+partner's stacks tuple, or None.  ``involution``, ``split`` and
+``combine`` are its wrappers on diagrams.  A partner's weight and sign are
+read from its own stacks (``_weight_of``, ``_sign_of``), as a diagram made
+by a move computes them on first use, so comparing a diagram of the walk
 with its partner compares two independent computations.  The walk keeps
 one object per stack value in a pool that it shares with the stacks it
 builds: the walk's own stacks and the halves and merges of its moves are
@@ -39,13 +44,13 @@ objects, and comparing them never reaches ``ColumnStack.__eq__``.
 A move reads one stack (a split) or one stack and the label and height of
 the cell before it (a combine), so each stack also keeps what its moves
 build: its two halves, made on the first split, and the stack it merges
-into for each (label, height) it has absorbed.  ``split``, ``combine`` and
-``involution`` share these; the walk's stacks, their memos and its pool
-die with the walk.  The memo holds only those per-stack results, each a
-function of its key alone: the guard of a combine is evaluated on every
-call, and the diagram a move makes is new, so the suite's pair laws (equal
-weight, opposite sign, each the other's image, compared by structure) are
-checked on every pair as before.
+into for each (label, height) it has absorbed.  Every ``_move`` shares
+these; the walk's stacks, their memos and its pool die with the walk.  The
+memo holds only those per-stack results, each a function of its key alone:
+the guard of a combine is evaluated on every call, and the stacks tuple a
+move makes is new, so the suite's pair laws (equal weight, opposite sign,
+each the other's image, compared by structure) are checked on every pair
+as before.
 """
 
 from __future__ import annotations
@@ -226,12 +231,12 @@ class LabeledDiagram:
 
     def sign(self):
         if self._sign is None:
-            self._sign = parity_sign([st._row_len for st in self._stacks])
+            self._sign = _sign_of(self._stacks)
         return self._sign
 
     def weight(self):
         if self._weight is None:
-            self._weight = sum(st._weight for st in self._stacks)
+            self._weight = _weight_of(self._stacks)
         return self._weight
 
     def __eq__(self, other):
@@ -249,6 +254,16 @@ class LabeledDiagram:
         return {"stacks": [st.to_json() for st in self._stacks]}
 
 
+def _weight_of(stacks):
+    """The weight of a diagram with these stacks, read from the stacks."""
+    return sum([st._weight for st in stacks])
+
+
+def _sign_of(stacks):
+    """The sign of a diagram with these stacks, read from its row lengths."""
+    return parity_sign([st._row_len for st in stacks])
+
+
 def _combinable(stacks, i):
     """The guard of combining stack i (one cell) into stack i+1, never
     cached: the label plus the column height fit among the next stack's full
@@ -259,20 +274,22 @@ def _combinable(stacks, i):
     return st._labels[0] + st._size <= stacks[i + 1]._full
 
 
-def _split_at(diagram, i):
-    """``split`` without its checks: stack i is wide."""
-    stacks = diagram._stacks
-    return LabeledDiagram._of(
-        stacks[:i] + stacks[i]._halves() + stacks[i + 1 :], diagram._lam
-    )
-
-
-def _combine_at(diagram, i):
-    """``combine`` without its checks: stack i may merge into stack i+1."""
-    stacks = diagram._stacks
-    st = stacks[i]
-    big = stacks[i + 1]._absorb(st._labels[0], st._size)
-    return LabeledDiagram._of(stacks[:i] + (big,) + stacks[i + 2 :], diagram._lam)
+def _move(stacks, first=0):
+    """The partner's stacks under the first move at or after stack
+    ``first``, or None when no stack there moves.  Scans left to right: a
+    wide stack splits into its halves, a single-cell stack merges into its
+    successor when ``_combinable``.  ``involution`` scans from 0; ``split``
+    and ``combine`` scan from the stack they move, which their checks make
+    the first that moves."""
+    last = len(stacks) - 1
+    for i in range(first, last + 1):
+        st = stacks[i]
+        if st._row_len > 1:
+            return stacks[:i] + st._halves() + stacks[i + 1 :]
+        if i < last and _combinable(stacks, i):
+            big = stacks[i + 1]._absorb(st._labels[0], st._size)
+            return stacks[:i] + (big,) + stacks[i + 2 :]
+    return None
 
 
 def can_combine(diagram, i):
@@ -298,7 +315,7 @@ def split(diagram, i):
         raise IndexError("no stack at index %d" % i)
     if stacks[i].row_len <= 1:
         raise ValueError("cannot split a single-cell stack")
-    return _split_at(diagram, i)
+    return LabeledDiagram._of(_move(stacks, i), diagram.lam)
 
 
 def combine(diagram, i):
@@ -306,27 +323,29 @@ def combine(diagram, i):
     append the column on the right, append the label to the row."""
     if not can_combine(diagram, i):
         raise ValueError("stacks %d and %d cannot be combined" % (i, i + 1))
-    return _combine_at(diagram, i)
+    return LabeledDiagram._of(_move(diagram.stacks, i), diagram.lam)
 
 
 def involution(diagram):
     """The partner of opposite sign and equal weight, or None for a fixed
-    point.  Scans left to right; a wide stack splits, a single-cell stack
-    tries to combine with its successor."""
-    stacks = diagram.stacks
-    last = len(stacks) - 1
-    for i, st in enumerate(stacks):
-        if st._row_len > 1:
-            return _split_at(diagram, i)
-        if i < last and _combinable(stacks, i):
-            return _combine_at(diagram, i)
-    return None
+    point: the diagram of ``_move``'s stacks."""
+    stacks = _move(diagram.stacks)
+    return None if stacks is None else LabeledDiagram._of(stacks, diagram.lam)
 
 
 def diagrams_up_to(k, lam, degree_max):
     """Every diagram over every partition of k+1 with weight at most
     ``degree_max``, streamed.  The diagrams of each weight come in the
     order ``diagrams_of_weight`` lists them."""
+    lam = Partition(lam)
+    for stacks, weight, sign in _stack_walk(k, lam, degree_max):
+        yield LabeledDiagram._of(stacks, lam, weight, sign)
+
+
+def _stack_walk(k, lam, degree_max):
+    """(stacks, weight, sign) of every diagram of ``diagrams_up_to``, in its
+    order: the stacks tuple, and the weight and sign that the walk knows
+    from its choices, not read back from the stacks."""
     lam = Partition(lam)
     if len(lam) > k + 1:
         return
@@ -364,7 +383,7 @@ def diagrams_up_to(k, lam, degree_max):
                                for column, a, b in zip(by_size, (0,) + cuts, cuts)]
                     weight = label_weight + cuts[-1]
                     for stacks in product(*choices):
-                        yield LabeledDiagram._of(stacks, lam, weight, sign)
+                        yield stacks, weight, sign
 
 
 def diagram_count(k, lam, degree_max):

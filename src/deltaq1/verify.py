@@ -9,8 +9,12 @@ reports "empty", never a vacuous "pass".  The checks of one run share
 ``run``, a dict of what later cases reuse: eq2's Dyck paths of one n,
 haglund's Delta image of one (n, k), involution's walk of one (k, lam).
 The bijection suite keeps only the set of images of each run partition,
-and the involution's pair memo is keyed by a partner's stacks, since lam
-is the same for every diagram of one walk.
+as pair tuples, and reports a map that raises ValueError as a
+counterexample.  The involution suite reads the walk's stacks tuples
+(``diagrams._stack_walk``) and moves them by ``diagrams._move``; it builds
+a ``LabeledDiagram`` only for a report, an audit pairing, a fixed point or
+a partner left over, and its pair memo is keyed by a partner's stacks,
+since lam is the same for every diagram of one walk.
 Haglund's identity reads the dual side off
 ``specialize.forgotten_coefficient``, exact numerators divided by their
 common denominator, and hilbert reads the image's e-coefficients, so no
@@ -30,10 +34,12 @@ from typing import Callable, NamedTuple
 from .bijection import decorated_to_msequence, msequence_to_decorated
 from .diagrams import (
     LabeledDiagram,
+    _move,
+    _sign_of,
+    _stack_walk,
+    _weight_of,
     diagram_count,
-    diagrams_up_to,
     fixed_to_msequence,
-    involution,
 )
 from .dyck import decoration_weights, enumerate_decorated, enumerate_paths
 from .msequences import (
@@ -106,9 +112,12 @@ def _eq2(case, run):
 
 def _bijection(case, run):
     """Round trips in both directions, with weight transport and matching
-    object counts for every (n, k, run partition)."""
+    object counts for every (n, k, run partition).  A map that raises
+    ValueError, or breaks its own weight assertion, fails the case on the
+    object it was given.  The images are compared with the M-sequences as
+    sets of pair tuples."""
     n, k = case
-    images = {}  # run partition -> the M-sequences reached
+    images = {}  # run partition -> the pairs of the M-sequences reached
     for decorated in enumerate_decorated(n, k):
         # each direction asserts that it keeps the weight
         try:
@@ -116,20 +125,26 @@ def _bijection(case, run):
         except AssertionError:
             return {"n": n, "k": k, "object": decorated.to_json(),
                     "reason": "weight not preserved"}
+        except ValueError:
+            return {"n": n, "k": k, "object": decorated.to_json(),
+                    "reason": "image is not an M-sequence"}
         try:
             back = msequence_to_decorated(seq)
         except AssertionError:
             return {"n": n, "k": k, "object": seq.to_json(),
                     "reason": "inverse weight not preserved"}
+        except ValueError:
+            return {"n": n, "k": k, "object": seq.to_json(),
+                    "reason": "inverse rejects the image"}
         if back != decorated:
             return {"n": n, "k": k, "object": decorated.to_json(),
                     "reason": "round trip failed"}
         lam = decorated.path.vertical_run_partition()
-        images.setdefault(lam, set()).add(seq)
+        images.setdefault(lam, set()).add(seq.pairs)
     for lam in partitions_of(n):
         expected = msequences(lam, k)
         got = images.get(lam, set())
-        if len(expected) != len(got) or set(expected) != got:
+        if len(expected) != len(got) or {s.pairs for s in expected} != got:
             return {"n": n, "k": k, "partition": lam.to_json(),
                     "reason": "image does not exhaust the M-sequences"}
     return None
@@ -141,59 +156,66 @@ def _involution_verdicts(n, k, lam, degree_max, audit):
     goes past.  Also the pairings of weight ``audit`` met before that
     weight's first failing diagram.
 
+    The pass reads the walk's stacks tuples with the weight and sign the
+    walk chose them by, and moves them by ``_move``; a partner's weight and
+    sign are read from its own stacks.  A ``LabeledDiagram`` is built only
+    for a report, an audit pairing, a fixed point or a left-over partner.
     Each pair is checked once.  The pair laws (equal weight, opposite sign,
     each the other's image) read the same from either side, so a diagram
     that passes leaves its partner in ``mates``, and when the walk reaches
-    that partner it adds its sign and its pairing without another
-    ``involution`` call.  Verdicts, the first failure of each weight and the
-    pairing order are those of checking every diagram in full.  A partner
-    still in ``mates`` after the walk is not among the walk's diagrams, and
-    fails its weight unless a diagram of that weight failed first."""
+    that partner it adds its sign and its pairing without another move.
+    Verdicts, the first failure of each weight and the pairing order are
+    those of checking every diagram in full.  A partner still in ``mates``
+    after the walk is not among the walk's diagrams, and fails its weight
+    unless a diagram of that weight failed first."""
     signed = [0] * (degree_max + 1)
     fixed = [[] for _ in signed]
     verdicts = [None] * len(signed)
     pairings = []
-    # partner's stacks -> the diagram that passed with it, not yet met; True
-    # in place of that diagram unless the audit pairings read it back.  Every
+
+    def diagram(stacks):
+        return LabeledDiagram._of(stacks, lam)
+
+    # partner's stacks -> the stacks that passed with it, not yet met; True
+    # in place of those unless the audit pairings read them back.  Every
     # diagram of the walk has the same lam, so its stacks are the key.
     mates = {}
-    for diagram in diagrams_up_to(k, lam, degree_max):
-        w = diagram.weight()
-        mate = mates.pop(diagram.stacks, None)
+    for stacks, w, sign in _stack_walk(k, lam, degree_max):
+        mate = mates.pop(stacks, None)
         if verdicts[w]:
             continue
-        signed[w] += diagram.sign()
+        signed[w] += sign
         if mate is not None:
             if w == audit:
-                pairings.append({"diagram": diagram.to_json(),
-                                 "partner": mate.to_json()})
+                pairings.append({"diagram": diagram(stacks).to_json(),
+                                 "partner": diagram(mate).to_json()})
             continue
-        partner = involution(diagram)
+        partner = _move(stacks)
         reason = None
         if partner is None:
-            if any(st.row_len != 1 for st in diagram.stacks):
+            if any(st.row_len != 1 for st in stacks):
                 reason = "wide fixed point"
             else:
                 try:
-                    fixed[w].append(fixed_to_msequence(diagram).pairs)
+                    fixed[w].append(fixed_to_msequence(diagram(stacks)).pairs)
                 except ValueError:  # a combinable diagram left fixed
                     reason = "fixed point is not an M-sequence"
-        elif partner.weight() != w:
+        elif _weight_of(partner) != w:
             reason = "weight changed"
-        elif partner.sign() != -diagram.sign():
+        elif _sign_of(partner) != -sign:
             reason = "sign not reversed"
-        elif involution(partner) != diagram:
+        elif _move(partner) != stacks:
             reason = "not an involution"
         else:
-            mates[partner.stacks] = diagram if w == audit else True
+            mates[partner] = stacks if w == audit else True
             if w == audit:
-                pairings.append({"diagram": diagram.to_json(),
-                                 "partner": partner.to_json()})
+                pairings.append({"diagram": diagram(stacks).to_json(),
+                                 "partner": diagram(partner).to_json()})
         if reason:
             verdicts[w] = {"case": [n, k, lam.to_json(), w], "reason": reason,
-                           "object": diagram.to_json()}
+                           "object": diagram(stacks).to_json()}
     for stacks in mates:
-        partner = LabeledDiagram._of(stacks, lam)
+        partner = diagram(stacks)
         w = partner.weight()
         if not verdicts[w]:
             verdicts[w] = {"case": [n, k, lam.to_json(), w],
@@ -300,10 +322,10 @@ def _haglund(case, run):
 
 # The involution suite walks every labelled diagram of weight up to
 # degree_max; their number grows 3-10x per step of k, and each costs about
-# 8-14 us on a 2-core VM.  There n_max 10, k_max 3, degree_max 8 (472,682
-# diagrams) takes 5.3-6.8 s and n_max 5, k_max 4, degree_max 8 (684,633)
-# 5.5-6.4 s.  A run is refused when its diagrams number more than
-# _MAX_DIAGRAMS, about 8-14 s there: n_max 10, k_max 4, degree_max 8
+# 4-7 us on a 2-core VM.  There n_max 10, k_max 3, degree_max 8 (472,682
+# diagrams) takes 3.0-3.5 s and n_max 5, k_max 4, degree_max 8 (684,633)
+# 2.9-4.8 s.  A run is refused when its diagrams number more than
+# _MAX_DIAGRAMS, about 4-7 s there: n_max 10, k_max 4, degree_max 8
 # (5,910,597 diagrams) is refused at once.  The caps on k_max and
 # degree_max stay, so no option alone asks for an unbounded count.
 _MAX_K = 4

@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from deltaq1.bijection import _walk, decorated_to_msequence, msequence_to_decorated
+from deltaq1.bijection import (
+    _checked_path,
+    _walk,
+    decorated_to_msequence,
+    msequence_to_decorated,
+)
 from deltaq1.dyck import DecoratedDyckPath, DyckPath, enumerate_decorated, enumerate_paths
 from deltaq1.msequences import MSequence, msequences
 from deltaq1.partitions import Partition, partitions_of
@@ -86,6 +91,28 @@ def test_walk_memo_is_keyed_by_path_value():
             fresh.rises().append(n + 1)
             fresh.rises().clear()
             assert uncached(fresh) == walk == _walk(fresh)
+
+
+def test_inverse_path_cache_is_keyed_by_the_area_sequence():
+    # the inverse takes its path from a cache of checked paths: one path per
+    # area-sequence value, equal to that value's path, keeping its rises, and
+    # an invalid sequence is refused on every call, never kept
+    for n in range(1, 8):
+        for path in enumerate_paths(n):
+            kept = _checked_path(path.area_seq)
+            assert kept == path and kept.area_seq == path.area_seq
+            assert kept.rises() == path.rises()
+            assert _checked_path(tuple(path.area_seq)) is kept
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            _checked_path((0, 2))
+    # every inverse rebuilds the path whose runs its nonzero pairs describe
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for lam in partitions_of(n):
+                for seq in msequences(lam, k):
+                    alpha = tuple(a + i for a, b in seq.pairs for i in range(b))
+                    assert msequence_to_decorated(seq).path.area_seq == alpha
 
 
 def test_window_chains_strict():

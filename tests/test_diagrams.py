@@ -5,6 +5,8 @@ import pytest
 from deltaq1.diagrams import (
     ColumnStack,
     LabeledDiagram,
+    _move,
+    _stack_walk,
     can_combine,
     combine,
     diagram_count,
@@ -311,6 +313,28 @@ def test_unchecked_diagrams_are_valid():
                                 for kept in _memoized(st):
                                     assert _rebuilt_stack(kept) == kept
                                     assert hash(_rebuilt_stack(kept)) == hash(kept)
+
+
+def test_stack_walk_and_move_match_the_diagrams():
+    # the suite reads the walk's stacks tuples and moves them by _move: the
+    # walk yields, in order, the stacks of diagrams_up_to with the weight and
+    # sign that the diagram and its checked rebuild compute from the stacks,
+    # and _move gives the stacks of each diagram's partner, or None
+    for k in (1, 2, 3):
+        for n in range(5):
+            for lam in partitions_of(n):
+                walk = list(_stack_walk(k, lam, 6))
+                diagrams = list(diagrams_up_to(k, lam, 6))
+                assert [stacks for stacks, _, _ in walk] == [
+                    d.stacks for d in diagrams]
+                for (stacks, weight, sign), diagram in zip(walk, diagrams):
+                    again = _rebuilt(diagram)
+                    assert again.stacks == stacks
+                    assert (weight, sign) == (again.weight(), again.sign())
+                    assert (weight, sign) == (diagram.weight(), diagram.sign())
+                    partner = involution(diagram)
+                    assert _move(diagram.stacks) == (
+                        None if partner is None else partner.stacks)
 
 
 def test_walk_shares_one_stack_per_value():

@@ -73,7 +73,7 @@ def test_run_suite_refuses_unusable_options_before_any_case(
     def no_case(*args):
         raise AssertionError("a case ran")
 
-    for layer in ("delta_e", "diagrams_up_to", "forgotten_coefficient"):
+    for layer in ("delta_e", "_stack_walk", "forgotten_coefficient"):
         monkeypatch.setattr(verify, layer, no_case)
     with pytest.raises(ValueError) as exc:
         run_suite(name, **options)
@@ -276,14 +276,14 @@ def test_verify_rejects_unread_and_out_of_range_options(capsys):
 
 def test_involution_suite_calls_involution_once_per_diagram(monkeypatch):
     # a diagram that passes with its partner checks the partner too, so the
-    # walk calls involution twice per pair and once per fixed point
-    real, calls = verify.involution, []
+    # walk moves stacks twice per pair and once per fixed point
+    real, calls = verify._move, []
 
-    def counted(diagram):
-        calls.append(diagram)
-        return real(diagram)
+    def counted(stacks):
+        calls.append(stacks)
+        return real(stacks)
 
-    monkeypatch.setattr(verify, "involution", counted)
+    monkeypatch.setattr(verify, "_move", counted)
     report = run_suite("involution", n_max=3, k_max=2, degree_max=4)
     assert report["status"] == "pass"
     walked = sum(len(list(diagrams_up_to(k, lam, 4)))
@@ -443,9 +443,9 @@ def test_involution_suite_reports_first_failing_diagram(capsys, monkeypatch):
     # one wide diagram of the slice (n, k, lam, d) = (3, 2, [2, 1], 3) made
     # its own partner: the first slice holding it fails, on that diagram
     chosen = LabeledDiagram([ColumnStack(3, [1], (1, 2, 0))], [2, 1])
-    real = verify.involution
+    real = verify._move
     monkeypatch.setattr(
-        verify, "involution", lambda d: d if d == chosen else real(d)
+        verify, "_move", lambda s: s if s == chosen.stacks else real(s)
     )
     expected = {
         "case": [3, 2, [2, 1], 3],
@@ -464,6 +464,27 @@ def test_involution_suite_reports_first_failing_diagram(capsys, monkeypatch):
         )
         assert report["counterexample"] == expected
         assert len(report["audit"]["pairings"]) == pairings
+
+
+def test_involution_suite_reads_the_partner_weight_from_its_stacks(
+    monkeypatch
+):
+    # the wide diagram of test_involution_suite_reports_first_failing_diagram
+    # gets a heavier partner of the same sign: its weight, summed over the
+    # partner's own stacks, fails first
+    chosen = LabeledDiagram([ColumnStack(3, [1], (1, 2, 0))], [2, 1])
+    heavier = (ColumnStack(3, [1, 1], (1, 2, 0)),)
+    real = verify._move
+    monkeypatch.setattr(
+        verify, "_move", lambda s: heavier if s == chosen.stacks else real(s)
+    )
+    report = run_suite("involution", n_max=3)
+    assert (report["status"], report["cases"]) == ("fail", 162)
+    assert report["counterexample"] == {
+        "case": [3, 2, [2, 1], 3],
+        "reason": "weight changed",
+        "object": {"stacks": [{"row_len": 3, "above": [1], "labels": [1, 2, 0]}]},
+    }
 
 
 @pytest.mark.parametrize("name, change, case, reason", [
@@ -494,10 +515,10 @@ def test_involution_suite_reports_fixed_point_that_is_no_msequence(
     # an involution that fixes everything, over the all-width-1 diagrams
     # only: the first fixed diagram that two columns could combine fails its
     # slice instead of escaping as the M-sequence check's ValueError
-    real = verify.diagrams_up_to
-    monkeypatch.setattr(verify, "involution", lambda d: None)
-    monkeypatch.setattr(verify, "diagrams_up_to", lambda k, lam, d: (
-        x for x in real(k, lam, d) if all(st.row_len == 1 for st in x.stacks)
+    real = verify._stack_walk
+    monkeypatch.setattr(verify, "_move", lambda s: None)
+    monkeypatch.setattr(verify, "_stack_walk", lambda k, lam, d: (
+        x for x in real(k, lam, d) if all(st.row_len == 1 for st in x[0])
     ))
     report = run_suite("involution", n_max=2, k_max=2, degree_max=3)
     assert (report["status"], report["cases"]) == ("fail", 24)
@@ -513,19 +534,19 @@ def test_involution_suite_reports_partner_outside_the_walk(monkeypatch):
     # the walk of (2, [2, 1]) loses the partners of two weight-1 pairs of
     # opposite signs that it meets after their diagrams: the signed count
     # and the fixed points stay, so only the partners left over show it
-    real = verify.diagrams_up_to
+    real = verify._stack_walk
     walk = list(real(2, [2, 1], 4))
+    order = [stacks for stacks, _, _ in walk]
     later = {}
-    for i, diagram in enumerate(walk):
-        partner = verify.involution(diagram)
-        if (diagram.weight() == 1 and partner is not None
-                and walk.index(partner) > i):
-            later.setdefault(diagram.sign(), partner)
+    for i, (stacks, weight, sign) in enumerate(walk):
+        partner = verify._move(stacks)
+        if weight == 1 and partner is not None and order.index(partner) > i:
+            later.setdefault(sign, partner)
     dropped = set(later.values())
     assert len(dropped) == 2
-    monkeypatch.setattr(verify, "diagrams_up_to", lambda k, lam, d: (
+    monkeypatch.setattr(verify, "_stack_walk", lambda k, lam, d: (
         x for x in real(k, lam, d)
-        if not ((k, lam) == (2, [2, 1]) and x in dropped)
+        if not ((k, lam) == (2, [2, 1]) and x[0] in dropped)
     ))
     report = run_suite("involution", n_max=3, k_max=2, degree_max=4)
     assert (report["status"], report["cases"]) == ("fail", 60)
@@ -565,6 +586,29 @@ def test_bijection_suite_reports_weight_faults(monkeypatch):
     assert report["counterexample"] == {
         "n": 1, "k": 1, "object": {"pairs": [[0, 1], [0, 0]]},
         "reason": "inverse weight not preserved",
+    }
+
+
+@pytest.mark.parametrize("layer, rejected, reason", [
+    ("decorated_to_msequence", {"area_seq": [0], "decorated_rows": []},
+     "image is not an M-sequence"),
+    ("msequence_to_decorated", {"pairs": [[0, 1], [0, 0]]},
+     "inverse rejects the image"),
+])
+def test_bijection_suite_reports_rejected_objects(
+    capsys, monkeypatch, layer, rejected, reason
+):
+    # a map that raises ValueError fails the case on the object it was
+    # given: a counterexample and exit code 1, not a traceback
+    def rejects(obj):
+        raise ValueError("rejected %r" % (obj,))
+
+    monkeypatch.setattr(verify, layer, rejects)
+    code, out, err = run_cli(capsys, "verify", "bijection", "--n-max", "2")
+    report = json.loads(out)
+    assert (code, err, report["status"], report["cases"]) == (1, "", "fail", 3)
+    assert report["counterexample"] == {
+        "n": 1, "k": 1, "object": rejected, "reason": reason,
     }
 
 
