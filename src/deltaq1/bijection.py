@@ -26,10 +26,10 @@ path, and the inverse's rebuilt copy of that path, read the same entry.
 The inverse takes that copy from ``_checked_path``, a cache of checked
 ``DyckPath(alpha)`` keyed by the full area-sequence tuple.  Whether a
 tuple is an area sequence is a function of the tuple alone, so the check
-runs once per value, and the kept path keeps its rises and its area for
-every later inverse that rebuilds it; an invalid tuple raises and is not
-kept.  There are 625 Dyck paths with n <= 7, against 10,871 decorated
-paths.  Both directions read the weight through ``MSequence.rho()``.
+runs once per value, and the kept path keeps its rises for every later
+inverse that rebuilds it; an invalid tuple raises and is not kept.  There
+are 625 Dyck paths with n <= 7, against 10,871 decorated paths.  Both
+directions read the weight through ``MSequence.rho()``.
 """
 
 from __future__ import annotations

@@ -5,10 +5,9 @@ discounted, plus optionally the origin.  The constructors take integers
 only: an entry that is not an int (a float, bool, string or None) raises
 TypeError rather than being truncated.
 
-A path keeps its area, its rises and its runs, each computed on first use
-from the area sequence, which is an immutable tuple; ``rises()`` and
-``runs()`` hand out fresh lists, so a caller cannot change what the path
-keeps.
+A path keeps its rises and its runs, each computed on first use from the
+area sequence, which is an immutable tuple; ``rises()`` and ``runs()``
+hand out fresh lists, so a caller cannot change what the path keeps.
 ``enumerate_paths`` builds one tuple of paths per n, once per process, so
 what they keep serves every k, and ``enumerate_decorated`` builds from it.
 Both build through the unchecked ``_of``, since their objects are valid by
@@ -29,7 +28,7 @@ class DyckPath:
     """Lattice path from (0,0) to (n,n) weakly above the diagonal, stored as
     the per-row area sequence (alpha_1, ..., alpha_n)."""
 
-    __slots__ = ("_alpha", "_area", "_rises", "_runs", "_lam")
+    __slots__ = ("_alpha", "_rises", "_runs", "_lam")
 
     def __init__(self, area_seq):
         alpha = int_entries(area_seq)
@@ -43,14 +42,14 @@ class DyckPath:
                     "invalid area sequence %r at row %d" % (alpha, i + 1)
                 )
         self._alpha = alpha
-        self._area = self._rises = self._runs = self._lam = None
+        self._rises = self._runs = self._lam = None
 
     @classmethod
     def _of(cls, alpha):
         """Unchecked: ``alpha`` a tuple of ints that is an area sequence."""
         path = object.__new__(cls)
         path._alpha = alpha
-        path._area = path._rises = path._runs = path._lam = None
+        path._rises = path._runs = path._lam = None
         return path
 
     @property
@@ -62,10 +61,7 @@ class DyckPath:
         return len(self._alpha)
 
     def area(self):
-        """The sum of the area sequence, kept after the first call."""
-        if self._area is None:
-            self._area = sum(self._alpha)
-        return self._area
+        return sum(self._alpha)
 
     def alpha(self, i):
         """Area of row i (1-based)."""

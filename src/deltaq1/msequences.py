@@ -27,11 +27,7 @@ The object enumerators (``msequences``, ``osp_sequences``,
 involution and the tests.  ``MSequence`` is the one check of admissibility:
 an ordered set partition sequence is valid when its (a_i, |B_i|) are an
 M-sequence, and a tableau sequence when its (a_i, content_i) are.
-``MSequence(...)`` accepts in one pass over the pairs
-(``_is_msequence``), and only a sequence it rejects is checked rule by
-rule, for the message of the first rule broken.  A sequence keeps its rho,
-computed on first use through ``rho()``.  ``msequences`` builds the
-sequences it lists pair tuple by pair tuple, through the unchecked
+``msequences`` builds the sequences it lists through the unchecked
 ``MSequence._of``, since admissible vectors over an ordering of lam are
 M-sequences by construction; ``test_msequences`` rebuilds each through the
 checking constructor.
@@ -208,44 +204,6 @@ def expansion_terms(n, k, basis):
     return terms
 
 
-def _is_msequence(pairs):
-    """Whether ``pairs``, a tuple of tuples, is a nonempty sequence of int
-    pairs (a_i, b_i) >= 0 with a_1 = 0 and a_{i+1} < a_i + b_i: every rule
-    of ``MSequence`` in one pass, without a message."""
-    top = 1  # a_1 < 1
-    try:
-        for a, b in pairs:
-            if type(a) is not int or type(b) is not int or not 0 <= a < top or b < 0:
-                return False
-            top = a + b
-    except ValueError:  # a pair of another length
-        return False
-    return bool(pairs)
-
-
-def _raise_first_violation(pairs):
-    """Raise the error of the first rule that ``pairs``, a tuple of tuples,
-    breaks, in this order: an entry that is not an int (TypeError), a pair
-    of another length, an empty sequence, a negative entry, a_1 != 0, the
-    first a_{i+1} >= a_i + b_i."""
-    int_entries(chain.from_iterable(pairs))
-    pairs = tuple((a, b) for a, b in pairs)
-    if not pairs:
-        raise ValueError("empty sequence")
-    for a, b in pairs:
-        if a < 0 or b < 0:
-            raise ValueError("entries must be nonnegative, got (%d, %d)" % (a, b))
-    if pairs[0][0] != 0:
-        raise ValueError("a_1 = %d violates a_1 = 0" % pairs[0][0])
-    for i, ((a, b), (nxt, _)) in enumerate(zip(pairs, pairs[1:]), 2):
-        if not nxt < a + b:
-            raise ValueError(
-                "a_%d = %d violates a_%d < a_%d + b_%d = %d"
-                % (i, nxt, i, i - 1, i - 1, a + b)
-            )
-    raise AssertionError("%r breaks no rule" % (pairs,))
-
-
 class MSequence:
     """A sequence of (a_i, b_i) pairs with a_1 = 0 and a_{i+1} < a_i + b_i.
 
@@ -254,20 +212,34 @@ class MSequence:
     callers can report it.
     """
 
-    __slots__ = ("_pairs", "_rho")
+    __slots__ = ("_pairs",)
 
     def __init__(self, pairs):
         pairs = tuple(map(tuple, pairs))
-        if not _is_msequence(pairs):
-            _raise_first_violation(pairs)
-        self._pairs, self._rho = pairs, None
+        # every entry is checked before the shape of any pair
+        int_entries(chain.from_iterable(pairs))
+        pairs = tuple((a, b) for a, b in pairs)
+        if not pairs:
+            raise ValueError("empty sequence")
+        for a, b in pairs:
+            if a < 0 or b < 0:
+                raise ValueError("entries must be nonnegative, got (%d, %d)" % (a, b))
+        if pairs[0][0] != 0:
+            raise ValueError("a_1 = %d violates a_1 = 0" % pairs[0][0])
+        for i, ((a, b), (nxt, _)) in enumerate(zip(pairs, pairs[1:]), 2):
+            if not nxt < a + b:
+                raise ValueError(
+                    "a_%d = %d violates a_%d < a_%d + b_%d = %d"
+                    % (i, nxt, i, i - 1, i - 1, a + b)
+                )
+        self._pairs = pairs
 
     @classmethod
     def _of(cls, pairs):
         """Unchecked: ``pairs`` a tuple of (a, b) int pairs that is an
         M-sequence."""
         seq = object.__new__(cls)
-        seq._pairs, seq._rho = pairs, None
+        seq._pairs = pairs
         return seq
 
     @property
@@ -289,10 +261,7 @@ class MSequence:
         return Partition(b for _, b in self._pairs if b)
 
     def rho(self):
-        """The sum of the a_i, kept after the first call."""
-        if self._rho is None:
-            self._rho = sum(a for a, _ in self._pairs)
-        return self._rho
+        return sum(a for a, _ in self._pairs)
 
     def __eq__(self, other):
         if not isinstance(other, MSequence):
@@ -322,16 +291,9 @@ def msequences(lam, k):
     if len(lam) > k + 1:
         return []
     out = []
-    for first, *rest in padded_rearrangements(lam, k + 1):
-        # the admissible prefixes, pair by pair, in lexicographic order; a
-        # b-vector that leaves some a_{i+1} no value has none
-        prefixes = [((0, first),)]
-        for b in rest:
-            prefixes = [pairs + ((a, b),) for pairs in prefixes
-                        for a in range(pairs[-1][0] + pairs[-1][1])]
-            if not prefixes:
-                break
-        out.extend(map(MSequence._of, prefixes))
+    for bvec in padded_rearrangements(lam, k + 1):
+        for avec in admissible_avectors(bvec):
+            out.append(MSequence._of(tuple(zip(avec, bvec))))
     return out
 
 

@@ -323,7 +323,7 @@ def _haglund(case, run):
 # The involution suite walks every labelled diagram of weight up to
 # degree_max; their number grows 3-10x per step of k, and each costs about
 # 4-7 us on a 2-core VM.  There n_max 10, k_max 3, degree_max 8 (472,682
-# diagrams) takes 3.0-3.5 s and n_max 5, k_max 4, degree_max 8 (684,633)
+# diagrams) takes 3.0-4.5 s and n_max 5, k_max 4, degree_max 8 (684,633)
 # 2.9-4.8 s.  A run is refused when its diagrams number more than
 # _MAX_DIAGRAMS, about 4-7 s there: n_max 10, k_max 4, degree_max 8
 # (5,910,597 diagrams) is refused at once.  The caps on k_max and

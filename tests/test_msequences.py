@@ -1,8 +1,7 @@
-import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from operator import add
 
 import pytest
@@ -27,12 +26,7 @@ from deltaq1.msequences import (
     ssyt_sequences,
     tableau_content,
 )
-from deltaq1.partitions import (
-    Partition,
-    int_entries,
-    padded_rearrangements,
-    partitions_of,
-)
+from deltaq1.partitions import Partition, padded_rearrangements, partitions_of
 from deltaq1.tarith import TPoly
 
 
@@ -63,66 +57,26 @@ def test_msequence_validation():
         MSequence([(0, 2), (2, 0)])
     with pytest.raises(ValueError):
         MSequence([(0, 2), (-1, 0)])
-
-
-def _ordered_check(pairs):
-    """The rules of MSequence, checked one after another in message order."""
-    pairs = tuple(map(tuple, pairs))
-    int_entries(chain.from_iterable(pairs))
-    pairs = tuple((a, b) for a, b in pairs)
-    if not pairs:
-        raise ValueError("empty sequence")
-    for a, b in pairs:
-        if a < 0 or b < 0:
-            raise ValueError("entries must be nonnegative, got (%d, %d)" % (a, b))
-    if pairs[0][0] != 0:
-        raise ValueError("a_1 = %d violates a_1 = 0" % pairs[0][0])
-    for i in range(len(pairs) - 1):
-        a, b = pairs[i]
-        nxt = pairs[i + 1][0]
-        if not nxt < a + b:
-            raise ValueError(
-                "a_%d = %d violates a_%d < a_%d + b_%d = %d"
-                % (i + 2, nxt, i + 2, i + 1, i + 1, a + b)
-            )
-    return pairs
-
-
-def _outcome(check, pairs):
-    try:
-        return check(pairs)
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def test_msequence_check_matches_the_ordered_rules():
-    # MSequence accepts in one pass and diagnoses a failure afterwards: it
-    # accepts exactly what the rules checked in order accept, and raises the
-    # same error, with the same message, as the first rule broken
-    rng = random.Random(7)
-    entries = (0, 0, 1, 1, 2, 3, -1, 1.0, True, "1", None)
-    for _ in range(6000):
-        pairs = [tuple(rng.choice(entries) if rng.random() < 0.2
-                       else rng.randrange(4)
-                       for _ in range(rng.choice((2, 2, 2, 2, 2, 1, 3))))
-                 for _ in range(rng.randrange(5))]
-        expected = _outcome(_ordered_check, pairs)
-        got = _outcome(lambda p: MSequence(p).pairs, pairs)
-        assert got == expected, pairs
-
-
-def test_msequences_come_in_lexicographic_order():
-    # the sequences of each b-vector, pair by pair, are its admissible
-    # a-vectors in lexicographic order, zipped with it
-    for n in range(1, 7):
-        for k in range(1, n + 2):
-            for lam in partitions_of(n):
-                if len(lam) > k + 1:
-                    continue
-                assert [seq.pairs for seq in msequences(lam, k)] == [
-                    tuple(zip(avec, bvec))
-                    for bvec in padded_rearrangements(lam, k + 1)
-                    for avec in admissible_avectors(bvec)]
+    # the first rule broken names the error: an entry that is not an int, a
+    # pair of another length, an empty sequence, a negative entry, a_1 != 0,
+    # then the first a_{i+1} >= a_i + b_i, with its index
+    cases = [
+        ([(0, 1), (2,), (0, 1.0)], TypeError, "1.0"),
+        ([(0, 1), (2,)], ValueError, "unpack"),
+        ([], ValueError, "^empty sequence$"),
+        ([(1, 0), (0, -1)], ValueError,
+         r"^entries must be nonnegative, got \(0, -1\)$"),
+        ([(1, 2), (5, 0)], ValueError, r"^a_1 = 1 violates a_1 = 0$"),
+        ([(0, 2), (1, 1), (2, 0), (9, 0)], ValueError,
+         r"^a_3 = 2 violates a_3 < a_2 \+ b_2 = 2$"),
+        ([(0, 1), (0, 3), (2, 1), (3, 0)], ValueError,
+         r"^a_4 = 3 violates a_4 < a_3 \+ b_3 = 3$"),
+    ]
+    for pairs, error, message in cases:
+        with pytest.raises(error, match=message):
+            MSequence(pairs)
+    assert MSequence([(0, 1), (0, 3), (2, 1), (2, 0)]).pairs == (
+        (0, 1), (0, 3), (2, 1), (2, 0))
 
 
 def test_enumerated_msequences_are_valid():
