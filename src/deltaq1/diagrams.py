@@ -35,31 +35,37 @@ partner's stacks tuple, or None.  ``involution``, ``split`` and
 ``combine`` are its wrappers on diagrams.  A partner's weight and sign are
 read from its own stacks (``_weight_of``, ``_sign_of``), as a diagram made
 by a move computes them on first use, so comparing a diagram of the walk
-with its partner compares two independent computations.  The walk keeps
-one object per stack value in a pool that it shares with the stacks it
-builds: the walk's own stacks and the halves and merges of its moves are
-drawn from it, so two diagrams with equal stacks hold the same stack
-objects, and comparing them never reaches ``ColumnStack.__eq__``.
+with its partner compares two independent computations.  Every stack that
+the walk and the moves build is drawn from one pool, ``_POOL``, with one
+object per stack value, so two diagrams with equal stacks hold the same
+stack objects, and comparing them never reaches ``ColumnStack.__eq__``.
+The walk reads its stacks from tables built once per process
+(``_stacks_by_size``: the stacks of one row, labels and cap, by partition
+size, made straight from the partition tuples) and its choices of sizes
+from ``_size_tuples``, so a walk of one (k, lam) reuses what the walks
+before it built.
 
 A move reads one stack (a split) or one stack and the label and height of
 the cell before it (a combine), so each stack also keeps what its moves
 build: its two halves, made on the first split, and the stack it merges
 into for each (label, height) it has absorbed.  Every ``_move`` shares
-these; the walk's stacks, their memos and its pool die with the walk.  The
-memo holds only those per-stack results, each a function of its key alone:
-the guard of a combine is evaluated on every call, and the stacks tuple a
-move makes is new, so the suite's pair laws (equal weight, opposite sign,
-each the other's image, compared by structure) are checked on every pair
-as before.
+these.  The pool, the tables and these memos last for the process, and
+hold only values that are functions of their keys: the guard of a combine
+is evaluated on every call, and the stacks tuple a move makes is new, so
+the suite's pair laws (equal weight, opposite sign, each the other's
+image, compared by structure) are checked on every pair as before.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product
+from operator import getitem, sub
 
 from .msequences import MSequence
 from .partitions import (
     Partition,
+    _partition_tuples,
     distinct_orderings,
     int_entries,
     padded_rearrangements,
@@ -69,12 +75,16 @@ from .partitions import (
 from .specialize import forgotten_series_terms
 from .tarith import TPoly
 
+# (row length, parts, labels) -> the one stack of that value, for every stack
+# the walk and the moves build in this process
+_POOL = {}
+
 
 class ColumnStack:
     """One base row of ``row_len`` labeled cells with a partition above it."""
 
     __slots__ = ("_row_len", "_above", "_labels", "_size", "_full", "_weight",
-                 "_hash", "_split_memo", "_merge_memo", "_pool")
+                 "_hash", "_split_memo", "_merge_memo")
 
     def __init__(self, row_len, above, labels):
         (row_len,) = int_entries([row_len])
@@ -88,24 +98,22 @@ class ColumnStack:
             raise ValueError("labels must be nonnegative")
         if above and above[0] > row_len:
             raise ValueError("partition %r too wide for row of %d" % (above, row_len))
-        # the stacks its moves build share a pool of their own
-        self._set(row_len, above, labels, {})
+        self._set(row_len, above, labels)
 
     @classmethod
-    def _of(cls, pool, row_len, parts, labels):
+    def _of(cls, row_len, parts, labels):
         """Unchecked: ``parts`` a sorted tuple, ``labels`` a tuple of ints,
-        and together a valid stack.  ``pool`` maps each value to its one
-        stack, and is shared by the stacks of a walk and those their moves
-        build."""
+        and together a valid stack; the one stack of that value in
+        ``_POOL``."""
         key = row_len, parts, labels
-        stack = pool.get(key)
+        stack = _POOL.get(key)
         if stack is None:
-            stack = pool[key] = object.__new__(cls)
-            stack._set(row_len, Partition._of(parts), labels, pool)
+            stack = object.__new__(cls)
+            stack._set(row_len, Partition._of(parts), labels)
+            _POOL[key] = stack
         return stack
 
-    def _set(self, row_len, above, labels, pool):
-        self._pool = pool
+    def _set(self, row_len, above, labels):
         self._row_len, self._above, self._labels = row_len, above, labels
         self._size = above.size
         self._full = above.multiplicity(row_len)
@@ -119,9 +127,9 @@ class ColumnStack:
         each give their last cell to the column and gain c more."""
         if self._split_memo is None:
             r, full, c = self._row_len, self._full, self._labels[-1]
-            head = ColumnStack._of(self._pool, 1, (1,) * full, (c,))
+            head = ColumnStack._of(1, (1,) * full, (c,))
             rest = (r - 1,) * (full + c) + self._above.parts[full:]
-            tail = ColumnStack._of(self._pool, r - 1, rest, self._labels[:-1])
+            tail = ColumnStack._of(r - 1, rest, self._labels[:-1])
             self._split_memo = head, tail
         return self._split_memo
 
@@ -136,7 +144,7 @@ class ColumnStack:
             r, full = self._row_len, self._full
             merged = ((r + 1,) * height + (r,) * (full - c - height)
                       + self._above.parts[full:])
-            big = ColumnStack._of(self._pool, r + 1, merged, self._labels + (c,))
+            big = ColumnStack._of(r + 1, merged, self._labels + (c,))
             self._merge_memo[c, height] = big
         return big
 
@@ -349,41 +357,49 @@ def _stack_walk(k, lam, degree_max):
     lam = Partition(lam)
     if len(lam) > k + 1:
         return
-    # (row length, labels, cap) -> the stacks of each partition size s, for
-    # every s the labels leave room for, drawn from the pool of this walk's
-    # stacks; both local, so the stacks die with the walk
-    table = {}
-    pool = {}
+    flats = padded_rearrangements(lam, k + 1)
     for mu in partitions_of(k + 1):
         sign = parity_sign(mu)
         for arrangement in distinct_orderings(mu.parts):
             caps = (arrangement[0] - 1,) + arrangement[1:]
             ends = list(accumulate(arrangement))
-            for flat in padded_rearrangements(lam, k + 1):
+            for flat in flats:
                 chunks = [flat[end - rl : end] for rl, end in zip(arrangement, ends)]
                 offsets = [sum(j * v for j, v in enumerate(chunk)) for chunk in chunks]
-                # the labels' weight; the partitions add their sizes, cuts[-1]
+                # the labels' weight; the partitions add their sizes
                 label_weight = sum(offsets)
                 room = degree_max - label_weight
                 # by_size[i][s]: the stacks at position i whose partition has size s
-                by_size = []
-                for rl, chunk, cap, offset in zip(arrangement, chunks, caps, offsets):
-                    key = rl, chunk, cap
-                    if key not in table:
-                        table[key] = [[ColumnStack._of(pool, rl, above.parts, chunk)
-                                       for above in partitions_of(s, max_part=cap)]
-                                      for s in range(degree_max - offset + 1)]
-                    by_size.append(table[key])
-                # cuts: partial sums of the partition sizes, nondecreasing and
-                # at most room, in the lexicographic order of the size tuples
-                for cuts in combinations_with_replacement(range(room + 1), len(caps)):
-                    if cuts[0] and not caps[0]:
-                        continue
-                    choices = [column[b - a]
-                               for column, a, b in zip(by_size, (0,) + cuts, cuts)]
-                    weight = label_weight + cuts[-1]
-                    for stacks in product(*choices):
+                by_size = [_stacks_by_size(rl, chunk, cap, degree_max - offset)
+                           for rl, chunk, cap, offset
+                           in zip(arrangement, chunks, caps, offsets)]
+                for sizes, total in _size_tuples(len(caps), room, caps[0] > 0):
+                    weight = label_weight + total
+                    for stacks in product(*map(getitem, by_size, sizes)):
                         yield stacks, weight, sign
+
+
+@lru_cache(maxsize=None)
+def _stacks_by_size(row_len, labels, cap, smax):
+    """The stacks of one row over ``labels`` whose partition has parts at
+    most ``cap``, grouped by partition size 0..smax: entry s lists them in
+    the order of ``partitions_of(s, max_part=cap)``."""
+    return tuple(tuple(ColumnStack._of(row_len, parts, labels)
+                       for parts in _partition_tuples(s, min(s, cap)))
+                 for s in range(smax + 1))
+
+
+@lru_cache(maxsize=None)
+def _size_tuples(m, room, first_free):
+    """(sizes, total) for every tuple of m partition sizes whose total is at
+    most ``room``, the first size 0 unless ``first_free``, in the
+    lexicographic order of their partial sums."""
+    out = []
+    for cuts in combinations_with_replacement(range(room + 1), m):
+        if cuts[0] and not first_free:
+            continue
+        out.append((tuple(map(sub, cuts, (0,) + cuts)), cuts[-1]))
+    return tuple(out)
 
 
 def diagram_count(k, lam, degree_max):

@@ -44,10 +44,13 @@ from .tarith import TPoly
 
 def admissible_avectors(bvec):
     """All (a_1, ..., a_m) with a_1 = 0 and a_{i+1} < a_i + b_i, in
-    lexicographic order."""
+    lexicographic order.  Stops at the first prefix length with no
+    admissible prefix, since no longer vector has one."""
     out = [(0,)]
     for b in bvec[:-1]:
         out = [v + (a,) for v in out for a in range(v[-1] + b)]
+        if not out:
+            break
     return out
 
 

@@ -322,12 +322,14 @@ def _haglund(case, run):
 
 # The involution suite walks every labelled diagram of weight up to
 # degree_max; their number grows 3-10x per step of k, and each costs about
-# 4-7 us on a 2-core VM.  There n_max 10, k_max 3, degree_max 8 (472,682
-# diagrams) takes 3.0-4.5 s and n_max 5, k_max 4, degree_max 8 (684,633)
-# 2.9-4.8 s.  A run is refused when its diagrams number more than
-# _MAX_DIAGRAMS, about 4-7 s there: n_max 10, k_max 4, degree_max 8
-# (5,910,597 diagrams) is refused at once.  The caps on k_max and
-# degree_max stay, so no option alone asks for an unbounded count.
+# 3-4.5 us on a 2-core VM.  There n_max 10, k_max 3, degree_max 8 (472,682
+# diagrams) takes 1.7-2.1 s and peaks at 21 MB, and n_max 5, k_max 4,
+# degree_max 8 (684,633) 2.0-2.6 s and 23 MB; the stack pool and tables
+# that the walks share last for the process, so memory grows with the
+# stacks of every k the run visits.  A run is refused when its diagrams
+# number more than _MAX_DIAGRAMS, about 3-4.5 s there: n_max 10, k_max 4,
+# degree_max 8 (5,910,597 diagrams) is refused at once.  The caps on k_max
+# and degree_max stay, so no option alone asks for an unbounded count.
 _MAX_K = 4
 _MAX_DEGREE = 8
 _MAX_DIAGRAMS = 1_000_000

@@ -1,11 +1,19 @@
+import ast
+import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
+import deltaq1
 from deltaq1.diagrams import (
     ColumnStack,
     LabeledDiagram,
     _move,
+    _size_tuples,
     _stack_walk,
     can_combine,
     combine,
@@ -315,26 +323,31 @@ def test_unchecked_diagrams_are_valid():
                                     assert hash(_rebuilt_stack(kept)) == hash(kept)
 
 
+def _assert_walk_matches_diagrams(k, lam, degree_max):
+    """The walk of (k, lam), checked: it yields, in order, the stacks of
+    diagrams_up_to with the weight and sign that the diagram and its checked
+    rebuild compute from the stacks, and _move gives the stacks of each
+    diagram's partner, or None."""
+    walk = list(_stack_walk(k, lam, degree_max))
+    diagrams = list(diagrams_up_to(k, lam, degree_max))
+    assert [stacks for stacks, _, _ in walk] == [d.stacks for d in diagrams]
+    for (stacks, weight, sign), diagram in zip(walk, diagrams):
+        again = _rebuilt(diagram)
+        assert again.stacks == stacks
+        assert (weight, sign) == (again.weight(), again.sign())
+        assert (weight, sign) == (diagram.weight(), diagram.sign())
+        partner = involution(diagram)
+        assert _move(diagram.stacks) == (
+            None if partner is None else partner.stacks)
+    return walk
+
+
 def test_stack_walk_and_move_match_the_diagrams():
-    # the suite reads the walk's stacks tuples and moves them by _move: the
-    # walk yields, in order, the stacks of diagrams_up_to with the weight and
-    # sign that the diagram and its checked rebuild compute from the stacks,
-    # and _move gives the stacks of each diagram's partner, or None
+    # the suite reads the walk's stacks tuples and moves them by _move
     for k in (1, 2, 3):
         for n in range(5):
             for lam in partitions_of(n):
-                walk = list(_stack_walk(k, lam, 6))
-                diagrams = list(diagrams_up_to(k, lam, 6))
-                assert [stacks for stacks, _, _ in walk] == [
-                    d.stacks for d in diagrams]
-                for (stacks, weight, sign), diagram in zip(walk, diagrams):
-                    again = _rebuilt(diagram)
-                    assert again.stacks == stacks
-                    assert (weight, sign) == (again.weight(), again.sign())
-                    assert (weight, sign) == (diagram.weight(), diagram.sign())
-                    partner = involution(diagram)
-                    assert _move(diagram.stacks) == (
-                        None if partner is None else partner.stacks)
+                _assert_walk_matches_diagrams(k, lam, 6)
 
 
 def test_walk_shares_one_stack_per_value():
@@ -348,6 +361,70 @@ def test_walk_shares_one_stack_per_value():
                 if partner is not None:
                     mate = walk[partner.stacks]
                     assert all(a is b for a, b in zip(partner.stacks, mate.stacks))
+
+
+def _stack_value(st):
+    return st.row_len, st.above.parts, st.labels
+
+
+def _walk_digests():
+    """One digest per walk of k <= 3, |lam| <= 4 at degree 6: each diagram's
+    stacks as values, its weight and sign, and its partner's stacks."""
+    digests = []
+    for k in (1, 2, 3):
+        for n in range(5):
+            for lam in partitions_of(n):
+                rows = []
+                for stacks, weight, sign in _stack_walk(k, lam, 6):
+                    partner = _move(stacks)
+                    rows.append((tuple(map(_stack_value, stacks)), weight, sign,
+                                 partner and tuple(map(_stack_value, partner))))
+                digests.append(hashlib.sha256(repr(rows).encode()).hexdigest())
+    return digests
+
+
+def test_walk_does_not_depend_on_earlier_walks():
+    # the stack tables, the size tuples, the stack pool and the stacks' move
+    # memos last for the process.  After walks of other lam at a smaller and
+    # a larger degree bound, and the moves of their diagrams, a walk still
+    # matches diagrams_up_to and its checked rebuild, and yields, with its
+    # partners, what a process that ran no walk before it yields
+    seen = {}
+    for degree_max in (2, 8):
+        for k in (1, 2, 3):
+            for lam in partitions_of(5):
+                for stacks, _, _ in _stack_walk(k, lam, degree_max):
+                    for st in stacks + (_move(stacks) or ()):
+                        seen.setdefault(_stack_value(st), st)
+    shared = 0
+    for k in (1, 2, 3):
+        for n in range(5):
+            for lam in partitions_of(n):
+                for stacks, _, _ in _assert_walk_matches_diagrams(k, lam, 6):
+                    for st in stacks:
+                        earlier = seen.get(_stack_value(st))
+                        if earlier is not None:
+                            assert earlier is st
+                            shared += 1
+    assert shared
+    src = os.path.dirname(os.path.dirname(deltaq1.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    script = ("import sys; sys.path.insert(0, %r); import test_diagrams; "
+              "print(test_diagrams._walk_digests())" % os.path.dirname(__file__))
+    cold = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120, check=True).stdout
+    assert ast.literal_eval(cold) == _walk_digests()
+
+
+def test_size_tuples_are_the_differences_of_the_cuts():
+    for m in range(1, 6):
+        for room in range(-1, 9):
+            for first_free in (False, True):
+                expected = [
+                    (tuple(b - a for a, b in zip((0,) + cuts, cuts)), cuts[-1])
+                    for cuts in combinations_with_replacement(range(room + 1), m)
+                    if first_free or not cuts[0]]
+                assert list(_size_tuples(m, room, first_free)) == expected
 
 
 def test_diagrams_of_weight_edge_cases():

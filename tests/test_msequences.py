@@ -351,14 +351,22 @@ def test_json():
 
 
 def test_admissible_avectors_are_the_lexicographic_filter():
-    for length in range(1, 5):
+    # every vector of a box that holds each admissible one (a_i is at most
+    # b_1 + ... + b_{i-1}), filtered by the rule.  Up to length 5 many
+    # b-vectors have a proper prefix with no admissible vector, where the
+    # enumeration stops early
+    dead_prefixes = 0
+    for length in range(1, 6):
         for bvec in product(range(4), repeat=length):
+            box = [range(sum(bvec[:i]) + 1) for i in range(length)]
             brute = [
-                avec for avec in product(range(sum(bvec[:-1]) + 1), repeat=length)
+                avec for avec in product(*box)
                 if avec[0] == 0
                 and all(avec[i + 1] < avec[i] + bvec[i] for i in range(length - 1))
             ]
             assert admissible_avectors(bvec) == brute
+            dead_prefixes += length > 2 and not admissible_avectors(bvec[:-1])
+    assert dead_prefixes
 
 
 partitions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(Partition)
