@@ -1,10 +1,11 @@
 """Exact-arithmetic expansions of the Delta operator image of e_n at q=1.
 
-Combinatorial models (M-sequences, decorated Dyck paths, labeled diagrams
-with a sign-reversing involution, ordered set partitions, tableaux) are
-cross-checked against an independent Macdonald eigenoperator computation,
-and that against the forgotten-basis series (Haglund's identity), all over
-exact integer and rational polynomial arithmetic in t.  The oracle imports
+Combinatorial models (M-sequences, decorated Dyck paths and labeled
+diagrams with a sign-reversing involution, listed object by object;
+ordered set partition and tableau sequences, counted) are cross-checked
+against an independent Macdonald eigenoperator computation, and that
+against the forgotten-basis series (Haglund's identity), all over exact
+integer and rational polynomial arithmetic in t.  The oracle imports
 no other route's answer; ``verify`` holds every comparison.
 """
 
@@ -39,26 +40,18 @@ from .dyck import (
 )
 from .msequences import (
     MSequence,
-    OSPSequence,
-    SSYTSequence,
     generic_polynomial,
     msequence_polynomial,
     msequences,
     osp_polynomial,
-    osp_sequences,
     ssyt_polynomial,
-    ssyt_sequences,
 )
 from .diagrams import (
     ColumnStack,
     LabeledDiagram,
-    can_combine,
-    combine,
     diagrams_of_weight,
-    diagrams_up_to,
     fixed_to_msequence,
     involution,
-    split,
 )
 from .bijection import decorated_to_msequence, msequence_to_decorated
 from .oracle import delta_e, delta_general, elementary_eigenvalue

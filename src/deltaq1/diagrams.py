@@ -11,49 +11,50 @@ The diagrams of (k, lam) are counted by weight by the numerators of
 common denominator (t;t)_{k+1}; the involution cancels the signed count
 down to the M-polynomial.
 
-Splitting a wide stack peels off its last column; combining undoes it.
-Scanning left to right for the first applicable move pairs every diagram
-of sign -1 with one of sign +1 except the all-width-1 diagrams whose
-columns satisfy the M-sequence inequalities.
+``_move`` is the one rule of the involution, on a diagram's stacks tuple.
+Scanning left to right, the first wide stack splits into its last column
+and the rest, and the first single-cell stack that ``_combinable`` allows
+merges into its successor; it gives the partner's stacks tuple, or None.
+This pairs every diagram of sign -1 with one of sign +1 except the
+all-width-1 diagrams whose columns satisfy the M-sequence inequalities.
+``involution`` wraps it on diagrams.
 
 The public constructors ``ColumnStack(...)`` and ``LabeledDiagram(...)``
-check every rule above.  The walk and the moves build their objects
-through the unchecked ``_of``, since they make them valid by construction;
-``test_diagrams`` rebuilds what they make through the checking
-constructors.  Moves write the partitions they make as already sorted
-tuples (``Partition._of``).  A stack keeps its partition's size, its
-full-row count, its weight and its hash, which the walk reads for every
-diagram.
+check every rule above.  There is one stack per value (row length,
+partition parts, labels) in the process, kept in the pool ``_POOL``: the
+checking constructor returns the pooled stack after its checks, and the
+walk and the moves draw theirs through the unchecked ``_of``, since they
+make them valid by construction.  So two stacks are equal exactly when
+they are the same object, and a stacks tuple hashes and compares in C.
+``test_diagrams`` rebuilds what the walk and the moves make through the
+checking constructors.  Moves write the partitions they make as already
+sorted tuples (``Partition._of``).  A stack keeps its partition's size,
+its full-row count and its weight, which the walk reads for every diagram.
 
 ``_stack_walk`` is the walk.  It yields each diagram's stacks tuple with
 its weight, the labels' weight plus the partition sizes it chose, and its
 sign, which depends only on the partition of k+1 that the row lengths
-rearrange.  ``diagrams_up_to`` wraps each in ``LabeledDiagram._of``; the
-involution suite reads the tuples as they come, and builds a diagram only
-for what it reports.  ``_move`` is the one rule of the involution: the
-partner's stacks tuple, or None.  ``involution``, ``split`` and
-``combine`` are its wrappers on diagrams.  A partner's weight and sign are
+rearrange.  The involution suite reads the tuples as they come, and builds
+a diagram only for what it reports; ``diagrams_of_weight`` wraps those of
+one weight in ``LabeledDiagram._of``.  A partner's weight and sign are
 read from its own stacks (``_weight_of``, ``_sign_of``), as a diagram made
 by a move computes them on first use, so comparing a diagram of the walk
-with its partner compares two independent computations.  Every stack that
-the walk and the moves build is drawn from one pool, ``_POOL``, with one
-object per stack value, so two diagrams with equal stacks hold the same
-stack objects, and comparing them never reaches ``ColumnStack.__eq__``.
-The walk reads its stacks from tables built once per process
-(``_stacks_by_size``: the stacks of one row, labels and cap, by partition
-size, made straight from the partition tuples) and its choices of sizes
-from ``_size_tuples``, so a walk of one (k, lam) reuses what the walks
-before it built.
+with its partner compares two independent computations.  The walk reads
+its stacks from tables built once per process (``_stacks_by_size``: the
+stacks of one row, labels and cap, by partition size, made straight from
+the partition tuples) and its choices of sizes from ``_size_tuples``, so a
+walk of one (k, lam) reuses what the walks before it built.
 
 A move reads one stack (a split) or one stack and the label and height of
-the cell before it (a combine), so each stack also keeps what its moves
-build: its two halves, made on the first split, and the stack it merges
-into for each (label, height) it has absorbed.  Every ``_move`` shares
-these.  The pool, the tables and these memos last for the process, and
-hold only values that are functions of their keys: the guard of a combine
-is evaluated on every call, and the stacks tuple a move makes is new, so
-the suite's pair laws (equal weight, opposite sign, each the other's
-image, compared by structure) are checked on every pair as before.
+the cell before it (a merge), so each stack also keeps what its moves
+build: its two halves (``_halves``), made on the first split, and the
+stack it merges into for each (label, height) it has absorbed
+(``_absorb``).  Every ``_move`` shares these.  The pool, the tables and
+these memos last for the process, and hold only values that are functions
+of their keys: the guard of a merge is evaluated on every call, and the
+stacks tuple a move makes is new, so the suite's pair laws (equal weight,
+opposite sign, each the other's image, compared by value) are checked on
+every pair as before.
 """
 
 from __future__ import annotations
@@ -75,18 +76,18 @@ from .partitions import (
 from .specialize import forgotten_series_terms
 from .tarith import TPoly
 
-# (row length, parts, labels) -> the one stack of that value, for every stack
-# the walk and the moves build in this process
+# (row length, parts, labels) -> the one stack of that value in this process
 _POOL = {}
 
 
 class ColumnStack:
-    """One base row of ``row_len`` labeled cells with a partition above it."""
+    """One base row of ``row_len`` labeled cells with a partition above it.
+    Equal stacks are one object, so a stack compares and hashes by identity."""
 
     __slots__ = ("_row_len", "_above", "_labels", "_size", "_full", "_weight",
-                 "_hash", "_split_memo", "_merge_memo")
+                 "_split_memo", "_merge_memo")
 
-    def __init__(self, row_len, above, labels):
+    def __new__(cls, row_len, above, labels):
         (row_len,) = int_entries([row_len])
         if row_len < 1:
             raise ValueError("row length must be positive")
@@ -98,7 +99,7 @@ class ColumnStack:
             raise ValueError("labels must be nonnegative")
         if above and above[0] > row_len:
             raise ValueError("partition %r too wide for row of %d" % (above, row_len))
-        self._set(row_len, above, labels)
+        return cls._of(row_len, above.parts, labels)
 
     @classmethod
     def _of(cls, row_len, parts, labels):
@@ -109,17 +110,14 @@ class ColumnStack:
         stack = _POOL.get(key)
         if stack is None:
             stack = object.__new__(cls)
-            stack._set(row_len, Partition._of(parts), labels)
+            stack._row_len, stack._labels = row_len, labels
+            stack._above = Partition._of(parts)
+            stack._size = sum(parts)
+            stack._full = parts.count(row_len)
+            stack._weight = stack._size + sum(j * v for j, v in enumerate(labels))
+            stack._split_memo = stack._merge_memo = None
             _POOL[key] = stack
         return stack
-
-    def _set(self, row_len, above, labels):
-        self._row_len, self._above, self._labels = row_len, above, labels
-        self._size = above.size
-        self._full = above.multiplicity(row_len)
-        self._weight = self._size + sum(j * v for j, v in enumerate(labels))
-        self._hash = hash((row_len, above, labels))
-        self._split_memo = self._merge_memo = None
 
     def _halves(self):
         """(head, tail) of splitting this stack, row_len > 1, built once: its
@@ -163,22 +161,6 @@ class ColumnStack:
     def weight(self):
         """Partition size plus positional label contributions."""
         return self._weight
-
-    def full_rows(self):
-        """Parts of the partition spanning the whole row."""
-        return self._full
-
-    def __eq__(self, other):
-        if not isinstance(other, ColumnStack):
-            return NotImplemented
-        return (
-            self._row_len == other._row_len
-            and self._above == other._above
-            and self._labels == other._labels
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "ColumnStack(%d, %s, %s)" % (
@@ -282,56 +264,18 @@ def _combinable(stacks, i):
     return st._labels[0] + st._size <= stacks[i + 1]._full
 
 
-def _move(stacks, first=0):
-    """The partner's stacks under the first move at or after stack
-    ``first``, or None when no stack there moves.  Scans left to right: a
-    wide stack splits into its halves, a single-cell stack merges into its
-    successor when ``_combinable``.  ``involution`` scans from 0; ``split``
-    and ``combine`` scan from the stack they move, which their checks make
-    the first that moves."""
+def _move(stacks):
+    """The partner's stacks, or None when no stack moves.  Scans left to
+    right: a wide stack splits into its halves, a single-cell stack merges
+    into its successor when ``_combinable``."""
     last = len(stacks) - 1
-    for i in range(first, last + 1):
-        st = stacks[i]
+    for i, st in enumerate(stacks):
         if st._row_len > 1:
             return stacks[:i] + st._halves() + stacks[i + 1 :]
         if i < last and _combinable(stacks, i):
             big = stacks[i + 1]._absorb(st._labels[0], st._size)
             return stacks[:i] + (big,) + stacks[i + 2 :]
     return None
-
-
-def can_combine(diagram, i):
-    """Whether stack i (a single labeled cell) absorbs stack i+1.
-
-    The label plus the column height must fit among the full rows of the
-    next stack's partition; merging into first position additionally needs
-    the column empty so the merged partition still fits strictly.
-    """
-    stacks = diagram.stacks
-    if not 0 <= i < len(stacks) - 1:
-        raise IndexError("no stack follows index %d" % i)
-    if stacks[i].row_len != 1:
-        raise ValueError("combining requires a single-cell stack at index %d" % i)
-    return _combinable(stacks, i)
-
-
-def split(diagram, i):
-    """Replace stack i (width > 1) by its last column over the last label,
-    followed by the remainder widened with that many new full rows."""
-    stacks = diagram.stacks
-    if not 0 <= i < len(stacks):
-        raise IndexError("no stack at index %d" % i)
-    if stacks[i].row_len <= 1:
-        raise ValueError("cannot split a single-cell stack")
-    return LabeledDiagram._of(_move(stacks, i), diagram.lam)
-
-
-def combine(diagram, i):
-    """Merge stack i into stack i+1: remove as many full rows as the label,
-    append the column on the right, append the label to the row."""
-    if not can_combine(diagram, i):
-        raise ValueError("stacks %d and %d cannot be combined" % (i, i + 1))
-    return LabeledDiagram._of(_move(diagram.stacks, i), diagram.lam)
 
 
 def involution(diagram):
@@ -341,19 +285,11 @@ def involution(diagram):
     return None if stacks is None else LabeledDiagram._of(stacks, diagram.lam)
 
 
-def diagrams_up_to(k, lam, degree_max):
-    """Every diagram over every partition of k+1 with weight at most
-    ``degree_max``, streamed.  The diagrams of each weight come in the
-    order ``diagrams_of_weight`` lists them."""
-    lam = Partition(lam)
-    for stacks, weight, sign in _stack_walk(k, lam, degree_max):
-        yield LabeledDiagram._of(stacks, lam, weight, sign)
-
-
 def _stack_walk(k, lam, degree_max):
-    """(stacks, weight, sign) of every diagram of ``diagrams_up_to``, in its
-    order: the stacks tuple, and the weight and sign that the walk knows
-    from its choices, not read back from the stacks."""
+    """(stacks, weight, sign) of every diagram of (k, lam) over every
+    partition of k+1 with weight at most ``degree_max``, streamed: the
+    stacks tuple, and the weight and sign that the walk knows from its
+    choices, not read back from the stacks."""
     lam = Partition(lam)
     if len(lam) > k + 1:
         return
@@ -420,10 +356,13 @@ def diagram_count(k, lam, degree_max):
 
 
 def diagrams_of_weight(k, lam, d):
-    """All diagrams over all partitions of k+1 with weight exactly d."""
+    """All diagrams over all partitions of k+1 with weight exactly d, in
+    the order of the walk."""
     if d < 0:
         raise ValueError("weight must be nonnegative")
-    return [x for x in diagrams_up_to(k, lam, d) if x.weight() == d]
+    lam = Partition(lam)
+    return [LabeledDiagram._of(stacks, lam, w, sign)
+            for stacks, w, sign in _stack_walk(k, lam, d) if w == d]
 
 
 def fixed_to_msequence(diagram):

@@ -10,10 +10,12 @@ b of mu padded with zeros to k+1 slots, each computed once per process
 (``generic_polynomial``), applied to an m-expansion counted once per mu:
 
 * M-sequences for lam: m_lam itself (``msequence_polynomial``);
-* ordered set partition sequences for n: p_1^n = h_{1^n}, whose
+* ordered set partition sequences for n, whose budgets are the sizes of
+  k+1 disjoint blocks covering {1..n}: p_1^n = h_{1^n}, whose
   m-coefficients are the multinomials (``osp_polynomial``);
-* tableau sequences for lam: s_lam, whose m-coefficients are Kostka
-  numbers (``ssyt_polynomial``);
+* tableau sequences for lam, whose budgets are the content of a
+  semistandard tableau of shape lam with entries in 1..k+1: s_lam, whose
+  m-coefficients are Kostka numbers (``ssyt_polynomial``);
 * the other coefficients of the Delta image: e_lam and h_lam, whose
   m-coefficients count 0-1 and nonnegative integer matrices.
 
@@ -22,21 +24,18 @@ The m-coefficients are counted here (``m_expansion``), not read from the
 ``expansion_terms`` gives the Delta image in the e, f, m or s basis from
 the models alone; its duality table ``_DUAL`` names the m-expansion that
 pairs with each basis, and nothing outside this module knows it.
-The object enumerators (``msequences``, ``osp_sequences``,
-``ssyt_sequences``) list the same objects one by one for the bijection, the
-involution and the tests.  ``MSequence`` is the one check of admissibility:
-an ordered set partition sequence is valid when its (a_i, |B_i|) are an
-M-sequence, and a tableau sequence when its (a_i, content_i) are.
-``msequences`` builds the sequences it lists through the unchecked
-``MSequence._of``, since admissible vectors over an ordering of lam are
-M-sequences by construction; ``test_msequences`` rebuilds each through the
-checking constructor.
+Ordered set partition and tableau sequences are counted, never listed.
+``msequences`` lists the M-sequences one by one, for the bijection and the
+involution, through the unchecked ``MSequence._of``, since admissible
+vectors over an ordering of lam are M-sequences by construction;
+``test_msequences`` rebuilds each through ``MSequence``, the one check of
+admissibility.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 
 from .partitions import Partition, int_entries, padded_rearrangements, partitions_of
 from .tarith import TPoly
@@ -307,178 +306,12 @@ def msequence_polynomial(lam, k):
     return generic_polynomial([(1, lam)], k)
 
 
-class OSPSequence:
-    """Pairs (a_i, B_i) where the B_i are disjoint subsets covering
-    {1..n} and the (a_i, |B_i|) are an M-sequence."""
-
-    __slots__ = ("_pairs",)
-
-    def __init__(self, pairs):
-        # the a_i are checked as entries of the M-sequence below
-        pairs = tuple((a, frozenset(int_entries(block))) for a, block in pairs)
-        seen = set()
-        for _, block in pairs:
-            if seen & block:
-                raise ValueError("blocks are not disjoint")
-            seen |= block
-        if seen != set(range(1, len(seen) + 1)):
-            raise ValueError("blocks must cover {1..n}")
-        MSequence((a, len(block)) for a, block in pairs)
-        self._pairs = pairs
-
-    @classmethod
-    def _of(cls, pairs):
-        """Unchecked: ``pairs`` a tuple of (a, b) int pairs that is an
-        M-sequence."""
-        seq = object.__new__(cls)
-        seq._pairs = pairs
-        return seq
-
-    @property
-    def pairs(self):
-        return self._pairs
-
-    def rho(self):
-        return sum(a for a, _ in self._pairs)
-
-    def __eq__(self, other):
-        if not isinstance(other, OSPSequence):
-            return NotImplemented
-        return self._pairs == other._pairs
-
-    def __hash__(self):
-        return hash(self._pairs)
-
-    def __repr__(self):
-        return "OSPSequence(%s)" % [
-            (a, sorted(block)) for a, block in self._pairs
-        ]
-
-    def to_json(self):
-        return {"pairs": [[a, sorted(block)] for a, block in self._pairs]}
-
-
-def osp_sequences(n, k):
-    """All ordered-set-partition sequences for n and k."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    out = []
-    for assignment in product(range(k + 1), repeat=n):
-        blocks = [set() for _ in range(k + 1)]
-        for element, slot in zip(range(1, n + 1), assignment):
-            blocks[slot].add(element)
-        sizes = tuple(len(b) for b in blocks)
-        for avec in admissible_avectors(sizes):
-            out.append(OSPSequence(zip(avec, blocks)))
-    return out
-
-
 def osp_polynomial(n, k):
     """Sum of t^rho over ordered-set-partition sequences (the q=1 Hilbert
     series of the Delta image)."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     return generic_polynomial(m_expansion("h", [1] * n, k + 1), k)
-
-
-def ssyt_fillings(lam, max_entry):
-    """Semistandard fillings of lam with entries in 1..max_entry, as tuples
-    of row tuples, enumerated in row-major lexicographic order."""
-    lam = Partition(lam)
-    rows = lam.parts
-    out = []
-
-    def rec(filled):
-        r = len(filled)
-        if r == len(rows):
-            out.append(tuple(filled))
-            return
-        width = rows[r]
-
-        def fill_row(row):
-            c = len(row)
-            if c == width:
-                rec(filled + [tuple(row)])
-                return
-            low = row[-1] if row else 1
-            if r > 0 and c < len(filled[r - 1]):
-                low = max(low, filled[r - 1][c] + 1)
-            for v in range(low, max_entry + 1):
-                fill_row(row + [v])
-
-        fill_row([])
-
-    rec([])
-    return out
-
-
-def tableau_content(tableau, max_entry):
-    """Occurrences of each value 1..max_entry in the tableau."""
-    counts = [0] * max_entry
-    for row in tableau:
-        for v in row:
-            counts[v - 1] += 1
-    return tuple(counts)
-
-
-class SSYTSequence:
-    """A semistandard tableau with entries bounded by k+1 together with an
-    a-vector whose (a_i, content_i) are an M-sequence."""
-
-    __slots__ = ("_tableau", "_avec")
-
-    def __init__(self, tableau, avec, k):
-        # the a_i are checked as entries of the M-sequence below
-        tableau, avec = tuple(map(int_entries, tableau)), tuple(avec)
-        if len(avec) != k + 1:
-            raise ValueError("a-vector must have length k+1")
-        for row in tableau:
-            if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-                raise ValueError("rows must weakly increase")
-            if any(not 1 <= v <= k + 1 for v in row):
-                raise ValueError("entries must lie in 1..k+1")
-        for r in range(1, len(tableau)):
-            if len(tableau[r]) > len(tableau[r - 1]):
-                raise ValueError("row lengths must weakly decrease")
-            if any(tableau[r][c] <= tableau[r - 1][c] for c in range(len(tableau[r]))):
-                raise ValueError("columns must strictly increase")
-        MSequence(zip(avec, tableau_content(tableau, k + 1)))
-        self._tableau, self._avec = tableau, avec
-
-    @property
-    def tableau(self):
-        return self._tableau
-
-    @property
-    def avec(self):
-        return self._avec
-
-    def weight(self):
-        return sum(self._avec)
-
-    def __eq__(self, other):
-        if not isinstance(other, SSYTSequence):
-            return NotImplemented
-        return self._tableau == other._tableau and self._avec == other._avec
-
-    def __hash__(self):
-        return hash((self._tableau, self._avec))
-
-    def __repr__(self):
-        return "SSYTSequence(%s, %s)" % (list(self._tableau), list(self._avec))
-
-
-def ssyt_sequences(lam, k):
-    """All tableau sequences for lam with entries bounded by k+1."""
-    lam = Partition(lam)
-    if k < 1:
-        raise ValueError("k must be positive")
-    out = []
-    for tableau in ssyt_fillings(lam, k + 1):
-        content = tableau_content(tableau, k + 1)
-        for avec in admissible_avectors(content):
-            out.append(SSYTSequence(tableau, avec, k))
-    return out
 
 
 def ssyt_polynomial(lam, k):

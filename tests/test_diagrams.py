@@ -10,19 +10,17 @@ import pytest
 
 import deltaq1
 from deltaq1.diagrams import (
+    _POOL,
     ColumnStack,
     LabeledDiagram,
+    _combinable,
     _move,
     _size_tuples,
     _stack_walk,
-    can_combine,
-    combine,
     diagram_count,
     diagrams_of_weight,
-    diagrams_up_to,
     fixed_to_msequence,
     involution,
-    split,
 )
 from deltaq1.msequences import msequence_polynomial, msequences
 from deltaq1.partitions import Partition, parity_sign, partitions_of
@@ -82,104 +80,85 @@ def test_stack_refuses_non_integers():
             ColumnStack(row_len, [], labels)
 
 
-def _example_pair():
-    lam = Partition([2, 1])
-    first = ColumnStack(1, [], (0,))
-    wide = ColumnStack(4, [4, 4, 2, 1], (0, 1, 0, 2))
-    return LabeledDiagram([first, wide], lam)
+def _diagram(stacks, lam):
+    return LabeledDiagram._of(stacks, Partition(lam))
+
+
+def _walk_diagrams(k, lam, degree_max):
+    """The diagrams of the walk, with the weight and sign it gives them."""
+    lam = Partition(lam)
+    return [LabeledDiagram._of(stacks, lam, weight, sign)
+            for stacks, weight, sign in _stack_walk(k, lam, degree_max)]
 
 
 def test_split_example():
-    diagram = _example_pair()
-    out = split(diagram, 1)
-    assert out.stacks[1] == ColumnStack(1, [1, 1], (2,))
-    assert out.stacks[2] == ColumnStack(3, [3, 3, 3, 3, 2, 1], (0, 1, 0))
-    assert out.weight() == diagram.weight() == 18
-    assert out.sign() == -diagram.sign()
-    assert combine(out, 1) == diagram
+    # label 3 fits in none of the wide stack's two full rows, so the move
+    # splits the wide stack, and the move of the result merges it back
+    first = ColumnStack(1, [], (3,))
+    wide = ColumnStack(4, [4, 4, 2, 1], (0, 1, 0, 2))
+    diagram = LabeledDiagram([first, wide], [3, 2, 1])
+    out = _move(diagram.stacks)
+    assert out == (first, ColumnStack(1, [1, 1], (2,)),
+                   ColumnStack(3, [3, 3, 3, 3, 2, 1], (0, 1, 0)))
+    partner = _diagram(out, diagram.lam)
+    assert partner.weight() == diagram.weight() == 18
+    assert partner.sign() == -diagram.sign()
+    assert _move(out) == diagram.stacks
 
 
 def test_split_trivial():
     diagram = LabeledDiagram([ColumnStack(2, [], (0, 0))], Partition())
-    out = split(diagram, 0)
-    assert [st.to_json() for st in out.stacks] == [
+    out = _move(diagram.stacks)
+    assert [st.to_json() for st in out] == [
         {"row_len": 1, "above": [], "labels": [0]},
         {"row_len": 1, "above": [], "labels": [0]},
     ]
-    assert combine(out, 0) == diagram
-    with pytest.raises(ValueError):
-        split(out, 0)
+    # both halves are single cells: the move of the result merges them
+    assert _move(out) == diagram.stacks
 
 
 def test_can_combine_examples():
-    lam = Partition([2, 1])
     first = ColumnStack(1, [], (0,))
     col = ColumnStack(1, [1, 1], (2,))
     short = ColumnStack(3, [3, 3, 2, 1], (0, 1, 0))
     tall = ColumnStack(3, [3, 3, 3, 3, 2, 1], (0, 1, 0))
-    assert can_combine(LabeledDiagram([first, col, short], lam), 1) is False
-    assert can_combine(LabeledDiagram([first, col, tall], lam), 1) is True
-    empty_pair = LabeledDiagram(
-        [ColumnStack(1, [], (0,)), ColumnStack(1, [], (0,))], Partition()
-    )
-    assert can_combine(empty_pair, 0) is True
-    with pytest.raises(IndexError):
-        can_combine(empty_pair, 1)
-    wide_at_one = LabeledDiagram(
-        [first, short, ColumnStack(1, [], (0,))], Partition([1])
-    )
-    with pytest.raises(ValueError):
-        can_combine(wide_at_one, 1)
-
-
-def test_split_and_combine_refuse_indices_out_of_range():
-    # a negative index used to reach the unchecked constructors: split(d, -1)
-    # built stacks of another weight, and combine(d, -1) merged the last
-    # stack with the first
-    one = LabeledDiagram(
-        [ColumnStack(1, [], (0,)), ColumnStack(2, [], (0, 1))], Partition([1])
-    )
-    pair = LabeledDiagram(
-        [ColumnStack(1, [], (0,)), ColumnStack(1, [], (0,))], Partition()
-    )
-    for i in (-3, -1, 2, 3):
-        with pytest.raises(IndexError):
-            split(one, i)
-    for i in (-3, -2, -1, 1, 2):
-        with pytest.raises(IndexError):
-            can_combine(pair, i)
-        with pytest.raises(IndexError):
-            combine(pair, i)
-    assert split(one, 1).weight() == one.weight()
-    assert len(combine(pair, 0).stacks) == 1
+    assert _combinable((first, col, short), 1) is False
+    assert _combinable((first, col, tall), 1) is True
+    assert _combinable((first, first), 0) is True
+    # a column merged into first position must be empty
+    assert _combinable((col, tall), 0) is False
+    assert _combinable((first, col, tall), 0) is True
 
 
 def test_combine_requires_precondition():
-    lam = Partition([2, 1])
-    bad = LabeledDiagram(
-        [
-            ColumnStack(1, [], (0,)),
-            ColumnStack(1, [1, 1], (2,)),
-            ColumnStack(3, [3, 3, 2, 1], (0, 1, 0)),
-        ],
-        lam,
-    )
-    with pytest.raises(ValueError):
-        combine(bad, 1)
+    # stack 0 (label 3) fits in none of col's two full rows, so the move
+    # reaches col: it merges into a successor with four full rows, and
+    # passes over one with two, whose split is the move
+    first = ColumnStack(1, [], (3,))
+    col = ColumnStack(1, [1, 1], (2,))
+    short = ColumnStack(3, [3, 3, 2, 1], (0, 1, 0))
+    tall = ColumnStack(3, [3, 3, 3, 3, 2, 1], (0, 1, 0))
+    assert _move((first, col, tall)) == (
+        first, ColumnStack(4, [4, 4, 2, 1], (0, 1, 0, 2)))
+    assert _move((first, col, short)) == (first, col) + short._halves()
 
 
 def test_round_trip_on_enumerated_diagrams():
+    # a wide stack's tail absorbs its head back into the stack, and a merged
+    # stack splits back into the column and the stack that absorbed it
     for k in (1, 2, 3):
         for n in range(1, 4):
             for lam in partitions_of(n):
-                for diagram in diagrams_up_to(k, lam, 4):
-                    for i, st in enumerate(diagram.stacks):
+                for stacks, _, _ in _stack_walk(k, lam, 4):
+                    for i, st in enumerate(stacks):
                         if st.row_len > 1:
-                            assert combine(split(diagram, i), i) == diagram
-                        elif i + 1 < len(diagram.stacks) and can_combine(
-                            diagram, i
-                        ):
-                            assert split(combine(diagram, i), i) == diagram
+                            head, tail = st._halves()
+                            assert tail._absorb(head.labels[0],
+                                                head.above.size) is st
+                        elif i + 1 < len(stacks) and _combinable(stacks, i):
+                            big = stacks[i + 1]._absorb(st.labels[0],
+                                                        st.above.size)
+                            assert big._halves() == (st, stacks[i + 1])
 
 
 def test_involution_pairs_and_cancels():
@@ -189,7 +168,7 @@ def test_involution_pairs_and_cancels():
                 poly = msequence_polynomial(lam, k)
                 signed = [0] * 7
                 fixed = [[] for _ in range(7)]
-                for diagram in diagrams_up_to(k, lam, 6):
+                for diagram in _walk_diagrams(k, lam, 6):
                     d = diagram.weight()
                     signed[d] += diagram.sign()
                     partner = involution(diagram)
@@ -212,7 +191,7 @@ def test_fixed_points_weights():
     for k in (1, 2, 3):
         for n in range(1, 5):
             for lam in partitions_of(n):
-                for diagram in diagrams_up_to(k, lam, 5):
+                for diagram in _walk_diagrams(k, lam, 5):
                     if involution(diagram) is None:
                         seq = fixed_to_msequence(diagram)
                         assert seq.rho() == diagram.weight() <= 5
@@ -230,17 +209,19 @@ def test_noncombinability_survives_later_merge():
     for k in (2, 3):
         for n in range(1, 4):
             for lam in partitions_of(n):
-                for diagram in diagrams_up_to(k, lam, 5):
-                    stacks = diagram.stacks
+                for stacks, _, _ in _stack_walk(k, lam, 5):
                     for i in range(len(stacks) - 2):
-                        if stacks[i].row_len != 1 or stacks[i + 1].row_len != 1:
+                        st, col = stacks[i], stacks[i + 1]
+                        if st.row_len != 1 or col.row_len != 1:
                             continue
-                        if can_combine(diagram, i):
+                        if _combinable(stacks, i):
                             continue
-                        if not can_combine(diagram, i + 1):
+                        if not _combinable(stacks, i + 1):
                             continue
-                        merged = combine(diagram, i + 1)
-                        assert can_combine(merged, i) is False
+                        big = stacks[i + 2]._absorb(col.labels[0],
+                                                    col.above.size)
+                        merged = stacks[: i + 1] + (big,) + stacks[i + 3 :]
+                        assert _combinable(merged, i) is False
 
 
 def test_diagrams_up_to_counts_match_the_weight_series():
@@ -253,13 +234,17 @@ def test_diagrams_up_to_counts_match_the_weight_series():
         for n in range(5 if k < _MAX_K else 4):
             for lam in partitions_of(n):
                 for cap in range(7 if k < _MAX_K else 6):
-                    seen = list(diagrams_up_to(k, lam, cap))
-                    assert len(set(seen)) == len(seen)
-                    weights = Counter(x.weight() for x in seen)
+                    seen = list(_stack_walk(k, lam, cap))
+                    assert len({stacks for stacks, _, _ in seen}) == len(seen)
+                    weights = Counter(weight for _, weight, _ in seen)
                     assert all(w <= cap for w in weights)
                     assert tuple(weights[w] for w in range(cap + 1)) == (
                         diagram_count(k, lam, cap)
                     )
+
+
+def _stack_value(st):
+    return st.row_len, st.above.parts, st.labels
 
 
 def _rebuilt_stack(st):
@@ -279,22 +264,21 @@ def _rebuilt(diagram):
 
 
 def test_unchecked_diagrams_are_valid():
-    # the enumerator and split/combine skip validation; every object they
-    # build passes it and rebuilds to an equal object with an equal hash (a
-    # list where a Partition or tuple belongs would compare equal but hash
-    # differently or not at all, and an unsorted partition tuple would not
-    # compare equal).  The weights and hashes the stacks store agree with
-    # those of the rebuilt objects.  Cap 6 yields the diagrams of every
-    # smaller cap too.  The walk shares its stacks between diagrams, and
-    # each stack keeps its split and its merges: a diagram's partner, asked
-    # for twice, equals the partner of its rebuilt copy (new stacks, no
-    # memo), the partner and its rebuilt copy both map back, and every
-    # memoized half and merge rebuilds.  The walk hands each diagram its
-    # weight and sign, which equal those its stacks give.
+    # the walk and the moves skip validation; every stack they build passes
+    # it and rebuilds to the very same stack (a list where a tuple belongs,
+    # or an unsorted partition tuple, would be another value), and every
+    # diagram rebuilds to an equal diagram with an equal hash.  The size,
+    # full-row count and weight that each stack stores are those of its
+    # value.  Cap 6 yields the diagrams of every smaller cap too.  The walk
+    # shares its stacks between diagrams, and each stack keeps its split
+    # and its merges: a diagram's partner, asked for twice, equals the
+    # partner of its rebuilt copy, the partner and its rebuilt copy both
+    # map back, and every memoized half and merge rebuilds.  The walk hands
+    # each diagram its weight and sign, which equal those its stacks give.
     for k in (1, 2, 3):
         for n in range(5):
             for lam in partitions_of(n):
-                for diagram in diagrams_up_to(k, lam, 6):
+                for diagram in _walk_diagrams(k, lam, 6):
                     assert diagram.weight() == sum(
                         st.weight() for st in diagram.stacks)
                     assert diagram.sign() == parity_sign(
@@ -312,33 +296,54 @@ def test_unchecked_diagrams_are_valid():
                             assert again.weight() == built.weight()
                             assert again.sign() == built.sign()
                             for st, st_again in zip(built.stacks, again.stacks):
-                                assert st.weight() == st_again.weight() == (
-                                    st.above.size
-                                    + sum(j * v for j, v in enumerate(st.labels)))
-                                assert hash(st) == hash(st_again) == hash(
-                                    (st.row_len, st.above, st.labels))
-                                assert st.full_rows() == st_again.full_rows()
+                                assert st_again is st
+                                row_len, parts, labels = _stack_value(st)
+                                size = sum(parts)
+                                assert (st._size, st._full, st.weight()) == (
+                                    size, parts.count(row_len),
+                                    size + sum(j * v for j, v in enumerate(labels)))
                                 for kept in _memoized(st):
-                                    assert _rebuilt_stack(kept) == kept
-                                    assert hash(_rebuilt_stack(kept)) == hash(kept)
+                                    assert _rebuilt_stack(kept) is kept
+
+
+def test_every_stack_is_the_pooled_stack_of_its_value():
+    # a stack compares and hashes by identity, so every way of making one
+    # gives the pool's stack of its value: the checking constructor, _of,
+    # the walk, a split's halves and a merge
+    def pooled(st):
+        return _POOL.get(_stack_value(st)) is st
+
+    made = ColumnStack(3, [1, 2], [0, 1, 0])
+    assert pooled(made)
+    assert ColumnStack(3, (2, 1), (0, 1, 0)) is made
+    assert ColumnStack._of(3, (2, 1), (0, 1, 0)) is made
+    assert pooled(ColumnStack._of(5, (3,), (0, 0, 0, 0, 7)))
+    for k in (1, 2, 3):
+        for n in range(5):
+            for lam in partitions_of(n):
+                for stacks, _, _ in _stack_walk(k, lam, 6):
+                    for i, st in enumerate(stacks):
+                        assert pooled(st)
+                        assert _rebuilt_stack(st) is st
+                        if st.row_len > 1:
+                            assert all(map(pooled, st._halves()))
+                        elif i + 1 < len(stacks) and _combinable(stacks, i):
+                            assert pooled(stacks[i + 1]._absorb(
+                                st.labels[0], st.above.size))
 
 
 def _assert_walk_matches_diagrams(k, lam, degree_max):
-    """The walk of (k, lam), checked: it yields, in order, the stacks of
-    diagrams_up_to with the weight and sign that the diagram and its checked
-    rebuild compute from the stacks, and _move gives the stacks of each
-    diagram's partner, or None."""
+    """The walk of (k, lam), checked: the checked rebuild of each diagram
+    holds its stacks and computes from them the weight and sign that the
+    walk gave, and ``involution`` gives the diagram of ``_move``'s stacks,
+    or None."""
     walk = list(_stack_walk(k, lam, degree_max))
-    diagrams = list(diagrams_up_to(k, lam, degree_max))
-    assert [stacks for stacks, _, _ in walk] == [d.stacks for d in diagrams]
-    for (stacks, weight, sign), diagram in zip(walk, diagrams):
-        again = _rebuilt(diagram)
+    for stacks, weight, sign in walk:
+        again = _rebuilt(_diagram(stacks, lam))
         assert again.stacks == stacks
         assert (weight, sign) == (again.weight(), again.sign())
-        assert (weight, sign) == (diagram.weight(), diagram.sign())
-        partner = involution(diagram)
-        assert _move(diagram.stacks) == (
-            None if partner is None else partner.stacks)
+        partner = involution(again)
+        assert _move(stacks) == (None if partner is None else partner.stacks)
     return walk
 
 
@@ -355,16 +360,11 @@ def test_walk_shares_one_stack_per_value():
     # so a partner holds the very stacks of the walk's equal diagram
     for k in (1, 2, 3):
         for lam in partitions_of(3):
-            walk = {x.stacks: x for x in diagrams_up_to(k, lam, 5)}
-            for diagram in walk.values():
-                partner = involution(diagram)
+            walk = {stacks: stacks for stacks, _, _ in _stack_walk(k, lam, 5)}
+            for stacks in walk:
+                partner = _move(stacks)
                 if partner is not None:
-                    mate = walk[partner.stacks]
-                    assert all(a is b for a, b in zip(partner.stacks, mate.stacks))
-
-
-def _stack_value(st):
-    return st.row_len, st.above.parts, st.labels
+                    assert all(a is b for a, b in zip(partner, walk[partner]))
 
 
 def _walk_digests():
@@ -387,8 +387,8 @@ def test_walk_does_not_depend_on_earlier_walks():
     # the stack tables, the size tuples, the stack pool and the stacks' move
     # memos last for the process.  After walks of other lam at a smaller and
     # a larger degree bound, and the moves of their diagrams, a walk still
-    # matches diagrams_up_to and its checked rebuild, and yields, with its
-    # partners, what a process that ran no walk before it yields
+    # matches its checked rebuild, and yields, with its partners, what a
+    # process that ran no walk before it yields
     seen = {}
     for degree_max in (2, 8):
         for k in (1, 2, 3):
@@ -430,14 +430,19 @@ def test_size_tuples_are_the_differences_of_the_cuts():
 def test_diagrams_of_weight_edge_cases():
     # more labels than cells, and a negative weight
     assert diagrams_of_weight(1, [1, 1, 1], 2) == []
-    assert list(diagrams_up_to(1, [1, 1, 1], 2)) == []
-    assert list(diagrams_up_to(2, [1], -1)) == []
+    assert list(_stack_walk(1, [1, 1, 1], 2)) == []
+    assert list(_stack_walk(2, [1], -1)) == []
     with pytest.raises(ValueError):
         diagrams_of_weight(1, [1], -1)
+    # the walk's diagrams of one weight, in its order, with its sign
+    assert [(x.stacks, x.weight(), x.sign())
+            for x in diagrams_of_weight(2, [2, 1], 4)] == [
+        row for row in _stack_walk(2, [2, 1], 4) if row[1] == 4]
 
 
 def test_diagram_json():
-    diagram = _example_pair()
+    diagram = LabeledDiagram([ColumnStack(1, [], (0,)),
+                              ColumnStack(4, [4, 4, 2, 1], (0, 1, 0, 2))], [2, 1])
     assert diagram.to_json() == {
         "stacks": [
             {"row_len": 1, "above": [], "labels": [0]},
