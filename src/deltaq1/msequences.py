@@ -112,6 +112,7 @@ def generic_polynomial(terms, k):
     the t-generating polynomial of the model whose budgets are drawn from
     the symmetric function sum of coeff * m_mu in k+1 variables.  A mu
     with more than k+1 parts contributes 0."""
+    int_entries([k])
     acc = []
     for coeff, mu in terms:
         int_entries([coeff])
@@ -288,6 +289,7 @@ def msequences(lam, k):
     """The complete finite set of M-sequences for lam and k; empty when lam
     has more than k+1 parts."""
     lam = Partition(lam)
+    int_entries([k])
     if k < 1:
         raise ValueError("k must be positive")
     if len(lam) > k + 1:
@@ -309,6 +311,7 @@ def msequence_polynomial(lam, k):
 def osp_polynomial(n, k):
     """Sum of t^rho over ordered-set-partition sequences (the q=1 Hilbert
     series of the Delta image)."""
+    int_entries((n, k))
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     return generic_polynomial(m_expansion("h", [1] * n, k + 1), k)

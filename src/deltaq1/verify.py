@@ -8,13 +8,13 @@ cases in order up to the first counterexample.  A suite with no cases
 reports "empty", never a vacuous "pass".  The checks of one run share
 ``run``, a dict of what later cases reuse: eq2's Dyck paths of one n,
 haglund's Delta image of one (n, k), involution's walk of one (k, lam).
-The bijection suite keeps only the set of images of each run partition,
-as pair tuples, and reports a map that raises ValueError as a
-counterexample.  The involution suite reads the walk's stacks tuples
-(``diagrams._stack_walk``) and moves them by ``diagrams._move``; it builds
-a ``LabeledDiagram`` only for a report, an audit pairing, a fixed point or
-a partner left over, and its pair memo is keyed by a partner's stacks,
-since lam is the same for every diagram of one walk.
+The bijection suite keeps only a count of paths per run partition, and
+reports a map that raises ValueError as a counterexample.  The involution
+suite reads the walk's stacks tuples (``diagrams._stack_walk``) and moves
+them by ``diagrams._move``; it builds a ``LabeledDiagram`` only for a
+report, an audit pairing, a fixed point or a partner left over, and its
+pair memo is keyed by a partner's stacks, since lam is the same for every
+diagram of one walk.
 Haglund's identity reads the dual side off
 ``specialize.forgotten_coefficient``, exact numerators divided by their
 common denominator, and hilbert reads the image's e-coefficients, so no
@@ -111,40 +111,38 @@ def _eq2(case, run):
 
 
 def _bijection(case, run):
-    """Round trips in both directions, with weight transport and matching
-    object counts for every (n, k, run partition).  A map that raises
-    ValueError, or breaks its own weight assertion, fails the case on the
-    object it was given.  The images are compared with the M-sequences as
-    sets of pair tuples."""
+    """One pass over the decorated paths of (n, k).  Each image must be an
+    M-sequence of k and of the path's run partition lam, of rho equal to
+    the decorated area, that the inverse takes back to the path.  A fault
+    fails the case on the object the failing map was given.  Then phi is
+    one-to-one into the M-sequences of (lam, k), and onto them when the
+    paths of lam number ``msequence_polynomial(lam, k)`` at t = 1, a count
+    that lists nothing."""
     n, k = case
-    images = {}  # run partition -> the pairs of the M-sequences reached
+
+    def fault(obj, reason):
+        return {"n": n, "k": k, "object": obj.to_json(), "reason": reason}
+
+    counts = {}  # run partition -> its decorated paths
     for decorated in enumerate_decorated(n, k):
-        # each direction asserts that it keeps the weight
         try:
             seq = decorated_to_msequence(decorated)
-        except AssertionError:
-            return {"n": n, "k": k, "object": decorated.to_json(),
-                    "reason": "weight not preserved"}
         except ValueError:
-            return {"n": n, "k": k, "object": decorated.to_json(),
-                    "reason": "image is not an M-sequence"}
+            return fault(decorated, "image is not an M-sequence")
+        lam = decorated.path.vertical_run_partition()
+        if seq.k != k or seq.lam() != lam:
+            return fault(decorated, "image has another run partition")
+        if seq.rho() != decorated.decorated_area():
+            return fault(decorated, "weight not preserved")
         try:
             back = msequence_to_decorated(seq)
-        except AssertionError:
-            return {"n": n, "k": k, "object": seq.to_json(),
-                    "reason": "inverse weight not preserved"}
         except ValueError:
-            return {"n": n, "k": k, "object": seq.to_json(),
-                    "reason": "inverse rejects the image"}
+            return fault(seq, "inverse rejects the image")
         if back != decorated:
-            return {"n": n, "k": k, "object": decorated.to_json(),
-                    "reason": "round trip failed"}
-        lam = decorated.path.vertical_run_partition()
-        images.setdefault(lam, set()).add(seq.pairs)
+            return fault(decorated, "round trip failed")
+        counts[lam] = counts.get(lam, 0) + 1
     for lam in partitions_of(n):
-        expected = msequences(lam, k)
-        got = images.get(lam, set())
-        if len(expected) != len(got) or {s.pairs for s in expected} != got:
+        if counts.get(lam, 0) != msequence_polynomial(lam, k)(1):
             return {"n": n, "k": k, "partition": lam.to_json(),
                     "reason": "image does not exhaust the M-sequences"}
     return None

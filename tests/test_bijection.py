@@ -149,17 +149,17 @@ def test_window_chains_strict():
 
 def test_inverse_rejects_malformed():
     with pytest.raises(ValueError, match="a_2"):
-        msequence_to_decorated([(0, 1), (5, 0)])
+        msequence_to_decorated(MSequence([(0, 1), (5, 0)]))
     with pytest.raises(ValueError, match="a_1"):
-        msequence_to_decorated([(1, 1), (0, 0)])
-    with pytest.raises(ValueError):
-        msequence_to_decorated([(0, 0)])
+        msequence_to_decorated(MSequence([(1, 1), (0, 0)]))
+    with pytest.raises(ValueError, match="nothing left"):
+        msequence_to_decorated(MSequence([(0, 0)]))
 
 
 def test_inverse_refuses_non_integers():
     # int() would truncate to [(0, 2), (0, 0)], a valid sequence
     with pytest.raises(TypeError, match="not 2.9$"):
-        msequence_to_decorated([(0, 2.9), (0.7, 0)])
+        MSequence([(0, 2.9), (0.7, 0)])
     for pairs in ([(0, True), (0, 0)], [(0, 1), ("0", 0)], [(0, None)]):
         with pytest.raises(TypeError):
             MSequence(pairs)

@@ -193,6 +193,23 @@ def test_ssyt_validation():
             ssyt_polynomial(lam, k)
 
 
+def test_bool_degrees_are_refused():
+    # isinstance(True, int) holds, but True is no degree: osp_polynomial(True,
+    # True) gave 1 and msequence_polynomial([2], True) gave 1 + t
+    calls = [
+        lambda: generic_polynomial([(1, [2])], True),
+        lambda: msequences([2], True),
+        lambda: msequence_polynomial([2], True),
+        lambda: osp_polynomial(True, True),
+        lambda: osp_polynomial(2, True),
+        lambda: osp_polynomial(True, 1),
+        lambda: ssyt_polynomial([2], True),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="not True$"):
+            call()
+
+
 def test_generic_polynomial_examples():
     assert generic_polynomial([(1, [2])], 1) == TPoly([1, 1])
     # p_1^2 = m_2 + 2 m_11

@@ -559,33 +559,84 @@ def test_involution_suite_reports_partner_outside_the_walk(monkeypatch):
 
 
 def test_bijection_suite_reports_weight_faults(monkeypatch):
-    # each direction asserts that it keeps the weight; the suite reports
-    # the failed assertion as that direction's counterexample
-    from deltaq1 import bijection
-    from deltaq1.dyck import DecoratedDyckPath
+    # the suite compares rho with the decorated area once per path; the
+    # round trip carries that comparison over to the inverse
     from deltaq1.msequences import MSequence
 
     rho = MSequence.rho
-    with monkeypatch.context() as patched:
-        patched.setattr(MSequence, "rho", lambda seq: rho(seq) + 1)
-        report = run_suite("bijection", n_max=2)
+    monkeypatch.setattr(MSequence, "rho", lambda seq: rho(seq) + 1)
+    report = run_suite("bijection", n_max=2)
     assert report["status"] == "fail"
     assert report["counterexample"] == {
         "n": 1, "k": 1, "object": {"area_seq": [0], "decorated_rows": []},
         "reason": "weight not preserved",
     }
 
-    class Heavier(DecoratedDyckPath):
-        def decorated_area(self):
-            return super().decorated_area() + 1
 
-    # only the inverse builds its decorated path through this name
-    monkeypatch.setattr(bijection, "DecoratedDyckPath", Heavier)
-    report = run_suite("bijection", n_max=2)
-    assert report["status"] == "fail"
+@pytest.mark.parametrize("image", [
+    [(0, 2), (1, 0)],  # run partition [2], not [1, 1]
+    [(0, 1), (0, 1), (0, 0)],  # run partition [1, 1], but k = 2, not 1
+])
+def test_bijection_suite_reports_image_of_another_run_partition(
+    capsys, monkeypatch, image
+):
+    # a valid M-sequence, but not one of the path's (lam, k): the first
+    # path of (n, k) = (2, 1) is [0, 0], run partition [1, 1], decorated at
+    # the origin
+    from deltaq1.msequences import MSequence
+
+    real = verify.decorated_to_msequence
+    monkeypatch.setattr(verify, "decorated_to_msequence", lambda d: (
+        MSequence(image) if d.path.area_seq == (0, 0) else real(d)))
+    code, out, _ = run_cli(capsys, "verify", "bijection", "--n-max", "2")
+    report = json.loads(out)
+    assert (code, report["status"], report["cases"]) == (1, "fail", 3)
     assert report["counterexample"] == {
-        "n": 1, "k": 1, "object": {"pairs": [[0, 1], [0, 0]]},
-        "reason": "inverse weight not preserved",
+        "n": 2, "k": 1,
+        "object": {"area_seq": [0, 0], "decorated_rows": [0]},
+        "reason": "image has another run partition",
+    }
+
+
+def test_bijection_suite_counts_the_images_of_each_run_partition(
+    capsys, monkeypatch
+):
+    # one path of (2, 1) left out, [0, 1] decorated at row 2: every image
+    # still round-trips, and only the count of run partition [2] shows it
+    real = verify.enumerate_decorated
+
+    def one_short(n, k):
+        paths = real(n, k)
+        return paths[:-1] if (n, k) == (2, 1) else paths
+
+    monkeypatch.setattr(verify, "enumerate_decorated", one_short)
+    assert real(2, 1)[-1].to_json() == {"area_seq": [0, 1], "decorated_rows": [2]}
+    code, out, _ = run_cli(capsys, "verify", "bijection", "--n-max", "2")
+    report = json.loads(out)
+    assert (code, report["status"], report["cases"]) == (1, "fail", 3)
+    assert report["counterexample"] == {
+        "n": 2, "k": 1, "partition": [2],
+        "reason": "image does not exhaust the M-sequences",
+    }
+
+
+def test_bijection_suite_reports_two_paths_with_one_image(capsys, monkeypatch):
+    # the first two paths of (3, 1) share run partition [2, 1] and weight 0;
+    # a forward map that sends the second to the image of the first passes
+    # every check of the image, and the inverse takes it back to the first
+    from deltaq1.dyck import DecoratedDyckPath, DyckPath
+
+    first = DecoratedDyckPath(DyckPath((0, 0, 1)), [0, 3])
+    second = DecoratedDyckPath(DyckPath((0, 1, 0)), [0, 2])
+    real = verify.decorated_to_msequence
+    monkeypatch.setattr(verify, "decorated_to_msequence",
+                        lambda d: real(first if d == second else d))
+    code, out, _ = run_cli(capsys, "verify", "bijection", "--n-max", "3")
+    report = json.loads(out)
+    assert (code, report["status"], report["cases"]) == (1, "fail", 6)
+    assert report["counterexample"] == {
+        "n": 3, "k": 1, "object": second.to_json(),
+        "reason": "round trip failed",
     }
 
 
