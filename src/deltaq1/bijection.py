@@ -19,27 +19,27 @@ sequence skips mark the decorated rows.  Between two segment pairs of a
 walk the zero pairs descend strictly, so each zero pair of the sequence
 matches exactly one of them, and the greedy match is the only match.
 
-The walk is a function of the path alone, and a path is its area sequence,
-an immutable tuple, so ``_walk`` is computed once per path value per
-process and returned as a tuple: the forward map of every decoration of a
-path, and the inverse's rebuilt copy of that path, read the same entry.
-The inverse takes that copy from ``_checked_path``, a cache of checked
-``DyckPath(alpha)`` keyed by the full area-sequence tuple.  Whether a
-tuple is an area sequence is a function of the tuple alone, so the check
-runs once per value, and the kept path keeps its rises for every later
-inverse that rebuilds it; an invalid tuple raises and is not kept.  There
-are 625 Dyck paths with n <= 7, against 10,871 decorated paths.  Neither
-direction checks the weight: the bijection suite compares ``rho()`` with
-the decorated area once per path, and its round trip carries that one
-comparison over to the inverse.
+There is one path per area sequence in the process (``dyck._POOL``), so
+``_walk`` is computed once per path, as a tuple.  The inverse rebuilds a
+path from its segment pairs, which every decoration of the path shares,
+so ``_path_of`` checks each segment tuple once and keeps its pooled path;
+one that is no path raises and is not kept.  There are 625 Dyck paths
+with n <= 7, against 10,871 decorated paths.  The forward map checks only
+the M-sequence rules (``msequences._admissible``), since the walk's pairs
+are int pairs, and the inverse builds its result unchecked: its
+decorations are the origin and rows of zero pairs, which are rises.
+Neither direction checks the weight: the bijection suite compares
+``rho()`` with the decorated area once per path, and its round trip,
+against the checked input, carries that comparison over to the inverse.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .dyck import DecoratedDyckPath, DyckPath
-from .msequences import MSequence
+from .msequences import MSequence, _admissible
 
 
 @lru_cache(maxsize=None)
@@ -76,19 +76,22 @@ def _walk(path):
 
 
 @lru_cache(maxsize=None)
-def _checked_path(alpha):
-    """``DyckPath(alpha)``, checked, for an area-sequence tuple; one per
-    value, built once, so the path keeps its rises for the next caller."""
-    return DyckPath(alpha)
+def _path_of(segments):
+    """The checked path whose vertical segments, in order, start at the
+    areas and have the lengths of the (area, length) ``segments``; one per
+    value, built once."""
+    # the rows of a segment (a, b) have areas a, a + 1, ..., a + b - 1
+    return DyckPath([a + i for a, b in segments for i in range(b)])
 
 
 def decorated_to_msequence(decorated):
-    """Map a decorated path to its M-sequence."""
+    """Map a decorated path to its M-sequence; ValueError when the image
+    breaks a rule of one."""
     rows = decorated.rows
     pairs = [pair for row, pair in _walk(decorated.path) if row not in rows]
     if 0 not in rows:
         pairs.append((0, 0))
-    return MSequence(pairs)
+    return MSequence._of(_admissible(tuple(pairs)))
 
 
 def msequence_to_decorated(seq):
@@ -97,17 +100,18 @@ def msequence_to_decorated(seq):
     Raises ValueError when no decorated path maps to it: nothing is left
     after the origin marker, or a pair matches no row of the path.
     """
-    pairs = list(seq.pairs)
+    pairs = seq.pairs
     decorations = [0] if pairs[-1] != (0, 0) else []
     if not decorations:
-        pairs.pop()
+        pairs = pairs[:-1]
     if not pairs:
         raise ValueError("nothing left after the origin marker")
 
-    path = _checked_path(tuple(a + i for a, b in pairs for i in range(b)))
+    path = _path_of(tuple(filter(itemgetter(1), pairs)))
+    wanted = pairs + (None,)  # past the last pair, no pair of the walk matches
     matched = 0
     for row, pair in _walk(path):
-        if matched < len(pairs) and pair == pairs[matched]:
+        if pair == wanted[matched]:
             matched += 1
         elif pair[1] == 0:
             decorations.append(row)
@@ -118,4 +122,5 @@ def msequence_to_decorated(seq):
             "pair %d, %r, matches no row of %r"
             % (matched + 1, pairs[matched], path)
         )
-    return DecoratedDyckPath(path, decorations)
+    # the skipped pairs are zero pairs of the walk, rows that rise
+    return DecoratedDyckPath._of(path, frozenset(decorations))

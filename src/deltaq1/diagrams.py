@@ -34,16 +34,22 @@ its full-row count and its weight, which the walk reads for every diagram.
 ``_stack_walk`` is the walk.  It yields each diagram's stacks tuple with
 its weight, the labels' weight plus the partition sizes it chose, and its
 sign, which depends only on the partition of k+1 that the row lengths
-rearrange.  The involution suite reads the tuples as they come, and builds
-a diagram only for what it reports; ``diagrams_of_weight`` wraps those of
-one weight in ``LabeledDiagram._of``.  A partner's weight and sign are
-read from its own stacks (``_weight_of``, ``_sign_of``), as a diagram made
-by a move computes them on first use, so comparing a diagram of the walk
-with its partner compares two independent computations.  The walk reads
-its stacks from tables built once per process (``_stacks_by_size``: the
-stacks of one row, labels and cap, by partition size, made straight from
-the partition tuples) and its choices of sizes from ``_size_tuples``, so a
-walk of one (k, lam) reuses what the walks before it built.
+rearrange.  ``diagrams_of_weight`` wraps those of one weight in
+``LabeledDiagram._of``.  A partner's weight and sign are read from its own
+stacks (``_weight_of``, ``_sign_of``), as a diagram made by a move
+computes them on first use, so comparing a diagram of the walk with its
+partner compares two independent computations.  The walk reads its stacks
+from tables built once per process (``_stacks_by_size``: the stacks of one
+row, labels and cap, by partition size, made straight from the partition
+tuples) and its choices of sizes from ``_size_tuples``, so a walk of one
+(k, lam) reuses what the walks before it built.
+
+``_move`` reads only a prefix of the stacks: up to the first wide stack,
+or up to the stack that the first combinable one merges into; the stacks
+after it stay.  The involution suite reads the descent ``_move_prefixes``
+in place of the walk: over the walk's placements and tables, it yields
+each move prefix once, with the (row length, labels) of the positions
+after it and the number of diagrams of each weight that start with it.
 
 A move reads one stack (a split) or one stack and the label and height of
 the cell before it (a merge), so each stack also keeps what its moves
@@ -54,7 +60,7 @@ these memos last for the process, and hold only values that are functions
 of their keys: the guard of a merge is evaluated on every call, and the
 stacks tuple a move makes is new, so the suite's pair laws (equal weight,
 opposite sign, each the other's image, compared by value) are checked on
-every pair as before.
+every pair of move prefixes.
 """
 
 from __future__ import annotations
@@ -285,34 +291,93 @@ def involution(diagram):
     return None if stacks is None else LabeledDiagram._of(stacks, diagram.lam)
 
 
-def _stack_walk(k, lam, degree_max):
-    """(stacks, weight, sign) of every diagram of (k, lam) over every
-    partition of k+1 with weight at most ``degree_max``, streamed: the
-    stacks tuple, and the weight and sign that the walk knows from its
-    choices, not read back from the stacks."""
+def _placements(k, lam, degree_max):
+    """(sign, rows, chunks, offsets, by_size) for every row-length
+    arrangement ``rows`` and placement of lam's labels, in the order of the
+    walk: the labels of each position, their weight there, and
+    ``by_size[i][s]``, the stacks at position i of partition size s."""
     lam = Partition(lam)
     if len(lam) > k + 1:
         return
     flats = padded_rearrangements(lam, k + 1)
     for mu in partitions_of(k + 1):
         sign = parity_sign(mu)
-        for arrangement in distinct_orderings(mu.parts):
-            caps = (arrangement[0] - 1,) + arrangement[1:]
-            ends = list(accumulate(arrangement))
+        for rows in distinct_orderings(mu.parts):
+            caps = (rows[0] - 1,) + rows[1:]
+            ends = list(accumulate(rows))
             for flat in flats:
-                chunks = [flat[end - rl : end] for rl, end in zip(arrangement, ends)]
+                chunks = [flat[end - rl : end] for rl, end in zip(rows, ends)]
                 offsets = [sum(j * v for j, v in enumerate(chunk)) for chunk in chunks]
-                # the labels' weight; the partitions add their sizes
-                label_weight = sum(offsets)
-                room = degree_max - label_weight
-                # by_size[i][s]: the stacks at position i whose partition has size s
                 by_size = [_stacks_by_size(rl, chunk, cap, degree_max - offset)
                            for rl, chunk, cap, offset
-                           in zip(arrangement, chunks, caps, offsets)]
-                for sizes, total in _size_tuples(len(caps), room, caps[0] > 0):
-                    weight = label_weight + total
-                    for stacks in product(*map(getitem, by_size, sizes)):
-                        yield stacks, weight, sign
+                           in zip(rows, chunks, caps, offsets)]
+                yield sign, rows, chunks, offsets, by_size
+
+
+def _stack_walk(k, lam, degree_max):
+    """(stacks, weight, sign) of every diagram of (k, lam) over every
+    partition of k+1 with weight at most ``degree_max``, streamed: the
+    stacks tuple, and the weight and sign that the walk knows from its
+    choices, not read back from the stacks."""
+    for sign, rows, _, offsets, by_size in _placements(k, lam, degree_max):
+        # the labels' weight; the partitions add their sizes
+        label_weight = sum(offsets)
+        for sizes, total in _size_tuples(len(rows), degree_max - label_weight,
+                                         rows[0] > 1):
+            for stacks in product(*map(getitem, by_size, sizes)):
+                yield stacks, label_weight + total, sign
+
+
+def _move_prefixes(k, lam, degree_max):
+    """(prefix, rest, weight, sign, completions) for every move prefix of
+    the diagrams of (k, lam) of weight at most ``degree_max``, each once.
+
+    Per placement, the descent picks stacks position by position and stops
+    at the first that moves: a wide stack, or one that the stack before it
+    merges into (``_combinable``); one that never stops is a fixed point.
+    ``rest`` holds the (row length, labels) of the positions after the
+    prefix, ``weight`` is the prefix's, from the walk's choices, and
+    ``completions[t]`` counts the stacks after it that add t to it, up to
+    degree_max."""
+    for sign, rows, chunks, offsets, by_size in _placements(k, lam, degree_max):
+        room = degree_max - sum(offsets)
+        last = len(rows) - 1
+        heads = list(accumulate(offsets))
+        rests = [tuple(zip(rows[i + 1:], chunks[i + 1:])) for i in range(last + 1)]
+        tails = [(0,) * sum(offsets[i + 1:]) + _box_counts(rows[i + 1:], room)
+                 for i in range(last)] + [(1,)]
+
+        def descend(i, prefix, used):
+            for s in range(room - used + 1):
+                for st in by_size[i][s]:
+                    stacks = prefix + (st,)
+                    if (st._row_len > 1 or i == last
+                            or i and _combinable(stacks, i - 1)):
+                        weight = heads[i] + used + s
+                        found.append((stacks, rests[i], weight, sign,
+                                      tails[i][:degree_max + 1 - weight]))
+                    else:
+                        descend(i + 1, stacks, used + s)
+
+        found = []
+        descend(0, (), 0)
+        yield from found
+
+
+@lru_cache(maxsize=None)
+def _box_counts(rows, limit):
+    """How many tuples of partitions, one per row of ``rows`` and no wider
+    than it, have each total size 0..limit: prod over rows r of 1/(t;t)_r."""
+    return _divided([1] + [0] * limit, [j for r in rows for j in range(1, r + 1)])
+
+
+def _divided(counts, strides):
+    """The series ``counts``, cut at its length, divided by 1 - t^j for
+    each j in ``strides``: a running sum with stride j."""
+    for j in strides:
+        for d in range(j, len(counts)):
+            counts[d] += counts[d - j]
+    return tuple(counts)
 
 
 @lru_cache(maxsize=None)
@@ -342,17 +407,20 @@ def diagram_count(k, lam, degree_max):
     """The number of diagrams of (k, lam) of each weight 0..degree_max,
     without building one: the numerators of ``forgotten_series_terms``
     summed with their signs undone, cut at degree_max, and divided as a
-    series by their common denominator (t;t)_{k+1}.  Dividing by 1 - t^j is
-    a running sum with stride j."""
+    series by their common denominator (t;t)_{k+1}.  Once per process for
+    each (k, lam, degree_max): an involution run's budget and count checks
+    share it."""
+    return _diagram_count(k, Partition(lam), degree_max)
+
+
+@lru_cache(maxsize=None)
+def _diagram_count(k, lam, degree_max):
     if degree_max < 0:
         return ()
     numerator = sum((parity_sign(mu) * term
                      for mu, term in forgotten_series_terms(lam, k)), TPoly())
-    counts = [numerator.coeff(d) for d in range(degree_max + 1)]
-    for j in range(1, k + 2):
-        for d in range(j, degree_max + 1):
-            counts[d] += counts[d - j]
-    return tuple(counts)
+    return _divided([numerator.coeff(d) for d in range(degree_max + 1)],
+                    range(1, k + 2))
 
 
 def diagrams_of_weight(k, lam, d):

@@ -5,12 +5,15 @@ discounted, plus optionally the origin.  The constructors take integers
 only: an entry that is not an int (a float, bool, string or None) raises
 TypeError rather than being truncated.
 
-A path keeps its rises and its runs, each computed on first use from the
-area sequence, which is an immutable tuple; ``rises()`` and ``runs()``
-hand out fresh lists, so a caller cannot change what the path keeps.
-``enumerate_paths`` builds one tuple of paths per n, once per process, so
-what they keep serves every k, and ``enumerate_decorated`` builds from it.
-Both build through the unchecked ``_of``, since their objects are valid by
+There is one path per area sequence in the process, in the pool
+``_POOL``: the checking constructor checks the entries' type, then returns
+the pooled path or checks the sequence and pools it, and ``_of`` draws
+from the same pool, so a path compares and hashes by identity, in C.  A
+path keeps its rises and its runs, each computed on first use;
+``rises()`` and ``runs()`` hand out fresh lists, so a caller cannot change
+what the path keeps.  ``enumerate_paths`` builds one tuple of paths per n,
+once per process, and ``enumerate_decorated`` builds from it.  Both build
+through the unchecked ``_of``, since their objects are valid by
 construction; ``test_dyck`` rebuilds each through the checking
 constructors.
 """
@@ -23,6 +26,9 @@ from itertools import combinations
 from .partitions import Partition, int_entries
 from .tarith import TPoly
 
+# area sequence -> the one path of that sequence in this process
+_POOL = {}
+
 
 class DyckPath:
     """Lattice path from (0,0) to (n,n) weakly above the diagonal, stored as
@@ -30,8 +36,11 @@ class DyckPath:
 
     __slots__ = ("_alpha", "_rises", "_runs", "_lam")
 
-    def __init__(self, area_seq):
+    def __new__(cls, area_seq):
         alpha = int_entries(area_seq)
+        path = _POOL.get(alpha)
+        if path is not None:
+            return path
         if not alpha:
             raise ValueError("empty area sequence")
         if alpha[0] != 0:
@@ -41,15 +50,18 @@ class DyckPath:
                 raise ValueError(
                     "invalid area sequence %r at row %d" % (alpha, i + 1)
                 )
-        self._alpha = alpha
-        self._rises = self._runs = self._lam = None
+        return cls._of(alpha)
 
     @classmethod
     def _of(cls, alpha):
-        """Unchecked: ``alpha`` a tuple of ints that is an area sequence."""
-        path = object.__new__(cls)
-        path._alpha = alpha
-        path._rises = path._runs = path._lam = None
+        """Unchecked: ``alpha`` a tuple of ints that is an area sequence;
+        the one path of that sequence in ``_POOL``."""
+        path = _POOL.get(alpha)
+        if path is None:
+            path = object.__new__(cls)
+            path._alpha = alpha
+            path._rises = path._runs = path._lam = None
+            _POOL[alpha] = path
         return path
 
     @property
@@ -103,14 +115,6 @@ class DyckPath:
         if self._lam is None:
             self._lam = Partition(length for _, length in self._run_pairs())
         return self._lam
-
-    def __eq__(self, other):
-        if not isinstance(other, DyckPath):
-            return NotImplemented
-        return self._alpha == other._alpha
-
-    def __hash__(self):
-        return hash(self._alpha)
 
     def __repr__(self):
         return "DyckPath(%s)" % list(self._alpha)
@@ -187,8 +191,8 @@ class DecoratedDyckPath:
 
     def decorated_area(self):
         """Area cells outside decorated rows; the origin discounts nothing."""
-        alpha = self._path.area_seq
-        return self._path.area() - sum(alpha[i - 1] for i in self._rows if i)
+        alpha = (0,) + self._path.area_seq  # row i has area alpha[i]
+        return sum(alpha) - sum(map(alpha.__getitem__, self._rows))
 
     def __eq__(self, other):
         if not isinstance(other, DecoratedDyckPath):

@@ -29,13 +29,14 @@ Ordered set partition and tableau sequences are counted, never listed.
 involution, through the unchecked ``MSequence._of``, since admissible
 vectors over an ordering of lam are M-sequences by construction;
 ``test_msequences`` rebuilds each through ``MSequence``, the one check of
-admissibility.
+admissibility (``_admissible`` past the checks of types and shape).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, chain
+from operator import itemgetter
 
 from .partitions import Partition, int_entries, padded_rearrangements, partitions_of
 from .tarith import TPoly
@@ -207,35 +208,55 @@ def expansion_terms(n, k, basis):
     return terms
 
 
+def _tuple_of(values, message):
+    """``values`` as a tuple, or TypeError: ``message`` naming them."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise TypeError(message % (values,)) from None
+
+
+def _admissible(pairs):
+    """``pairs``, a tuple of (a, b) int pairs, once they pass the rules of an
+    M-sequence: nonempty, nonnegative entries, a_1 = 0, then a_{i+1} < a_i +
+    b_i; else ValueError names the first rule broken."""
+    if not pairs:
+        raise ValueError("empty sequence")
+    for a, b in pairs:
+        if a < 0 or b < 0:
+            raise ValueError("entries must be nonnegative, got (%d, %d)" % (a, b))
+    a, b = pairs[0]
+    if a != 0:
+        raise ValueError("a_1 = %d violates a_1 = 0" % a)
+    for i, (nxt, nb) in enumerate(pairs[1:], 2):
+        if not nxt < a + b:
+            raise ValueError("a_%d = %d violates a_%d < a_%d + b_%d = %d"
+                             % (i, nxt, i, i - 1, i - 1, a + b))
+        a, b = nxt, nb
+    return pairs
+
+
 class MSequence:
     """A sequence of (a_i, b_i) pairs with a_1 = 0 and a_{i+1} < a_i + b_i.
 
-    An entry that is not an int (a float, bool, string or None) raises
-    TypeError.  Otherwise raises on the first violated inequality so
-    callers can report it.
+    Pairs that are not a sequence, a pair that is not one, or an entry that
+    is not an int (a float, bool, string or None) raise TypeError, and a
+    pair of another length ValueError, each naming what it rejects; then
+    ``_admissible`` names the first rule broken.
     """
 
     __slots__ = ("_pairs",)
 
     def __init__(self, pairs):
-        pairs = tuple(map(tuple, pairs))
+        pairs = _tuple_of(pairs, "expected a list of pairs, not %r")
+        pairs = tuple([_tuple_of(pair, "pair %r is not two integers")
+                       for pair in pairs])
         # every entry is checked before the shape of any pair
         int_entries(chain.from_iterable(pairs))
-        pairs = tuple((a, b) for a, b in pairs)
-        if not pairs:
-            raise ValueError("empty sequence")
-        for a, b in pairs:
-            if a < 0 or b < 0:
-                raise ValueError("entries must be nonnegative, got (%d, %d)" % (a, b))
-        if pairs[0][0] != 0:
-            raise ValueError("a_1 = %d violates a_1 = 0" % pairs[0][0])
-        for i, ((a, b), (nxt, _)) in enumerate(zip(pairs, pairs[1:]), 2):
-            if not nxt < a + b:
-                raise ValueError(
-                    "a_%d = %d violates a_%d < a_%d + b_%d = %d"
-                    % (i, nxt, i, i - 1, i - 1, a + b)
-                )
-        self._pairs = pairs
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ValueError("pair %r is not two integers" % (list(pair),))
+        self._pairs = _admissible(pairs)
 
     @classmethod
     def _of(cls, pairs):
@@ -261,10 +282,12 @@ class MSequence:
 
     def lam(self):
         """The partition underlying the nonzero budgets."""
-        return Partition(b for _, b in self._pairs if b)
+        # the entries were checked when the sequence was built
+        budgets = filter(None, map(itemgetter(1), self._pairs))
+        return Partition._of(tuple(sorted(budgets, reverse=True)))
 
     def rho(self):
-        return sum(a for a, _ in self._pairs)
+        return sum(map(itemgetter(0), self._pairs))
 
     def __eq__(self, other):
         if not isinstance(other, MSequence):

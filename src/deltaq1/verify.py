@@ -7,14 +7,14 @@ Every suite takes n up to the degree bound.  ``run_suite`` checks the
 cases in order up to the first counterexample.  A suite with no cases
 reports "empty", never a vacuous "pass".  The checks of one run share
 ``run``, a dict of what later cases reuse: eq2's Dyck paths of one n,
-haglund's Delta image of one (n, k), involution's walk of one (k, lam).
+haglund's Delta image of one (n, k), involution's verdicts of one (k, lam).
 The bijection suite keeps only a count of paths per run partition, and
 reports a map that raises ValueError as a counterexample.  The involution
-suite reads the walk's stacks tuples (``diagrams._stack_walk``) and moves
-them by ``diagrams._move``; it builds a ``LabeledDiagram`` only for a
-report, an audit pairing, a fixed point or a partner left over, and its
-pair memo is keyed by a partner's stacks, since lam is the same for every
-diagram of one walk.
+suite checks the pair laws once per move prefix
+(``diagrams._move_prefixes``), since ``diagrams._move`` reads no further,
+and counts the diagrams that start with each prefix, which must number
+the series' (``diagrams.diagram_count``).  Only a report and the audit
+walk diagram by diagram (``diagrams._stack_walk``), in the walk's order.
 Haglund's identity reads the dual side off
 ``specialize.forgotten_coefficient``, exact numerators divided by their
 common denominator, and hilbert reads the image's e-coefficients, so no
@@ -35,6 +35,7 @@ from .bijection import decorated_to_msequence, msequence_to_decorated
 from .diagrams import (
     LabeledDiagram,
     _move,
+    _move_prefixes,
     _sign_of,
     _stack_walk,
     _weight_of,
@@ -148,84 +149,121 @@ def _bijection(case, run):
     return None
 
 
+def _prefix_pass(k, lam, degree_max):
+    """Per weight 0..degree_max, the signed count of the diagrams of (k, lam),
+    their number and the pairs of the fixed points; then the broken laws
+    and the partners left over, keyed by (prefix, rest) as
+    (reason, weight, completions, partner), the partner None for a law.
+
+    ``_move`` reads only the prefix, and the stacks after it add the same
+    weight and sign factor to both diagrams of a pair, so the pair laws are
+    checked once per prefix, the partner's weight and sign read from its
+    own stacks.  A prefix that passes leaves its partner in ``mates`` with
+    its rest, since one prefix recurs under many placements; the partner is
+    then counted without another move, and one never met is no diagram."""
+    signed = [0] * (degree_max + 1)
+    walked = [0] * len(signed)
+    fixed = [[] for _ in signed]
+    # mates: (partner, rest) -> (prefix, weight, completions), not yet met
+    broken, mates, tally = {}, {}, {}
+    for prefix, rest, weight, sign, completions in _move_prefixes(
+            k, lam, degree_max):
+        key = weight, sign, completions
+        tally[key] = tally.get(key, 0) + 1
+        if mates.pop((prefix, rest), None):
+            continue
+        partner = _move(prefix)
+        reason = None
+        if partner is None:
+            # every diagram that starts with the prefix has the rows of rest
+            if (any(st.row_len != 1 for st in prefix)
+                    or any(row_len != 1 for row_len, _ in rest)):
+                reason = "wide fixed point"
+            elif rest:  # the descent stopped at a merge that _move did not make
+                reason = "fixed point is not an M-sequence"
+            else:
+                try:
+                    fixed[weight].append(fixed_to_msequence(
+                        LabeledDiagram._of(prefix, lam)).pairs)
+                except ValueError:  # a combinable diagram left fixed
+                    reason = "fixed point is not an M-sequence"
+        elif _weight_of(partner) != weight:
+            reason = "weight changed"
+        # a sign is multiplicative over stacks: opposite signs multiply to -1
+        elif _sign_of(prefix + partner) != -1:
+            reason = "sign not reversed"
+        elif _move(partner) != prefix:
+            reason = "not an involution"
+        else:
+            mates[partner, rest] = prefix, weight, completions
+        if reason:
+            broken[prefix, rest] = reason, weight, completions, None
+    for (weight, sign, completions), prefixes in tally.items():
+        for w, c in enumerate(completions, weight):
+            signed[w] += sign * prefixes * c
+            walked[w] += prefixes * c
+    left_over = {(prefix, rest): ("partner is not a diagram of the walk",
+                                  weight, completions, partner)
+                 for (partner, rest), (prefix, weight, completions)
+                 in mates.items()}
+    return signed, walked, fixed, broken, left_over
+
+
 def _involution_verdicts(n, k, lam, degree_max, audit):
     """The counterexample of each slice (n, k, lam, d), d <= degree_max, or
-    None, from one pass over the diagrams of (k, lam) that checks each as it
-    goes past.  Also the pairings of weight ``audit`` met before that
-    weight's first failing diagram.
-
-    The pass reads the walk's stacks tuples with the weight and sign the
-    walk chose them by, and moves them by ``_move``; a partner's weight and
-    sign are read from its own stacks.  A ``LabeledDiagram`` is built only
-    for a report, an audit pairing, a fixed point or a left-over partner.
-    Each pair is checked once.  The pair laws (equal weight, opposite sign,
-    each the other's image) read the same from either side, so a diagram
-    that passes leaves its partner in ``mates``, and when the walk reaches
-    that partner it adds its sign and its pairing without another move.
-    Verdicts, the first failure of each weight and the pairing order are
-    those of checking every diagram in full.  A partner still in ``mates``
-    after the walk is not among the walk's diagrams, and fails its weight
-    unless a diagram of that weight failed first."""
-    signed = [0] * (degree_max + 1)
-    fixed = [[] for _ in signed]
+    None; also the pairings of weight ``audit`` met before that weight's
+    first failing diagram.  A weight fails on a broken law, else on a
+    partner left over; else its number of diagrams must be the series',
+    its fixed points the M-sequences of rho d, and its signed count the
+    M-polynomial's coefficient.  Only a fault, to name the first diagram of
+    its weight, and the audit walk the diagrams one by one."""
+    signed, walked, fixed, broken, left_over = _prefix_pass(k, lam, degree_max)
     verdicts = [None] * len(signed)
-    pairings = []
 
     def diagram(stacks):
         return LabeledDiagram._of(stacks, lam)
 
-    # partner's stacks -> the stacks that passed with it, not yet met; True
-    # in place of those unless the audit pairings read them back.  Every
-    # diagram of the walk has the same lam, so its stacks are the key.
-    mates = {}
-    for stacks, w, sign in _stack_walk(k, lam, degree_max):
-        mate = mates.pop(stacks, None)
-        if verdicts[w]:
-            continue
-        signed[w] += sign
-        if mate is not None:
-            if w == audit:
-                pairings.append({"diagram": diagram(stacks).to_json(),
-                                 "partner": diagram(mate).to_json()})
-            continue
-        partner = _move(stacks)
-        reason = None
-        if partner is None:
-            if any(st.row_len != 1 for st in stacks):
-                reason = "wide fixed point"
-            else:
-                try:
-                    fixed[w].append(fixed_to_msequence(diagram(stacks)).pairs)
-                except ValueError:  # a combinable diagram left fixed
-                    reason = "fixed point is not an M-sequence"
-        elif _weight_of(partner) != w:
-            reason = "weight changed"
-        elif _sign_of(partner) != -sign:
-            reason = "sign not reversed"
-        elif _move(partner) != stacks:
-            reason = "not an involution"
-        else:
-            mates[partner] = stacks if w == audit else True
-            if w == audit:
+    faults_of = [None] * len(signed)  # weight -> the faults that fail it
+    for faults in (broken, left_over):
+        for reason, weight, completions, _ in faults.values():
+            for w, c in enumerate(completions, weight):
+                if c and faults_of[w] is None:
+                    faults_of[w] = faults
+                    verdicts[w] = {"case": [n, k, lam.to_json(), w],
+                                   "reason": reason}
+    todo = {w for w, faults in enumerate(faults_of) if faults}
+    listing = audit is not None
+    pairings = []
+    walk = (_stack_walk(k, lam, max(todo | {audit or 0}))
+            if todo or listing else ())
+    for stacks, w, _ in walk:
+        if w in todo:
+            hit = _fault_of(stacks, faults_of[w])
+            if hit:
+                todo.remove(w)
+                j, (reason, _, _, partner) = hit
+                whole = stacks if partner is None else partner + stacks[j:]
+                verdicts[w]["reason"] = reason
+                verdicts[w]["object"] = diagram(whole).to_json()
+                # a broken law ends the audit's pairings
+                listing = listing and not (w == audit and partner is None)
+        if listing and w == audit:
+            partner = _move(stacks)
+            if partner is not None:
                 pairings.append({"diagram": diagram(stacks).to_json(),
                                  "partner": diagram(partner).to_json()})
-        if reason:
-            verdicts[w] = {"case": [n, k, lam.to_json(), w], "reason": reason,
-                           "object": diagram(stacks).to_json()}
-    for stacks in mates:
-        partner = diagram(stacks)
-        w = partner.weight()
-        if not verdicts[w]:
-            verdicts[w] = {"case": [n, k, lam.to_json(), w],
-                           "reason": "partner is not a diagram of the walk",
-                           "object": partner.to_json()}
+        if not (todo or listing):
+            break
+    counts = diagram_count(k, lam, degree_max)
     seqs = msequences(lam, k)
     poly = msequence_polynomial(lam, k)
     for d in range(degree_max + 1):
         if verdicts[d]:
             continue
         expected = sorted(seq.pairs for seq in seqs if seq.rho() == d)
-        if sorted(fixed[d]) != expected:
+        if walked[d] != counts[d]:
+            reason = "diagram count %d != series count %d" % (walked[d], counts[d])
+        elif sorted(fixed[d]) != expected:
             reason = "fixed points differ from M-sequences"
         elif signed[d] != poly.coeff(d):
             reason = "signed count %d != coefficient %d" % (signed[d], poly.coeff(d))
@@ -233,6 +271,17 @@ def _involution_verdicts(n, k, lam, degree_max, audit):
             continue
         verdicts[d] = {"case": [n, k, lam.to_json(), d], "reason": reason}
     return verdicts, pairings
+
+
+def _fault_of(stacks, faults):
+    """(j, fault) for the shortest prefix stacks[:j] that keys a fault in
+    ``faults`` with the (row length, labels) of the stacks after it, or
+    None."""
+    for j in range(1, len(stacks) + 1):
+        key = stacks[:j], tuple((st.row_len, st.labels) for st in stacks[j:])
+        if key in faults:
+            return j, faults[key]
+    return None
 
 
 def _involution_cases(n_max, k_max, degree_max, audit):
@@ -318,25 +367,24 @@ def _haglund(case, run):
     return None
 
 
-# The involution suite walks every labelled diagram of weight up to
-# degree_max; their number grows 3-10x per step of k, and each costs about
-# 3-4.5 us on a 2-core VM.  There n_max 10, k_max 3, degree_max 8 (472,682
-# diagrams) takes 1.7-2.1 s and peaks at 21 MB, and n_max 5, k_max 4,
-# degree_max 8 (684,633) 2.0-2.6 s and 23 MB; the stack pool and tables
-# that the walks share last for the process, so memory grows with the
-# stacks of every k the run visits.  A run is refused when its diagrams
-# number more than _MAX_DIAGRAMS, about 3-4.5 s there: n_max 10, k_max 4,
-# degree_max 8 (5,910,597 diagrams) is refused at once.  The caps on k_max
-# and degree_max stay, so no option alone asks for an unbounded count.
+# The involution suite checks each move prefix of the diagrams of weight up
+# to degree_max once, at about 4-5 us each on a 2-core VM; the diagrams
+# grow 3-10x per step of k, the prefixes 3.3-8.3x less.  There n_max 10,
+# k_max 3, degree_max 8 (472,682 diagrams, 143,878 prefixes) takes 0.8 s
+# and peaks at 21 MB, and n_max 5, k_max 4 (684,633, 82,711) 0.5 s and 19
+# MB; the stack pool and tables last for the process.  A run of more than
+# _MAX_DIAGRAMS diagrams is refused: n_max 10, k_max 4, degree_max 8
+# (5,910,597 diagrams, 936,495 prefixes) at once.  The caps on k_max and
+# degree_max stay, so no option alone asks for an unbounded count.
 _MAX_K = 4
 _MAX_DEGREE = 8
 _MAX_DIAGRAMS = 1_000_000
-# An --audit run keeps the pairing of every diagram of the audit weight in
-# its report, about 12 KB of memory each on a 2-core VM: --audit 8 at the
-# defaults (21,442 diagrams, the largest weight there) peaks at 256 MB and
-# prints 29 MB in 4.9 s, and --n-max 5 --k-max 4 --audit 5 (76,501) peaks
-# at 971 MB and prints 112 MB.  A run whose audit weight holds more than
-# _MAX_AUDITED diagrams is refused.
+# An --audit run walks its weight diagram by diagram and keeps the pairing
+# of each in its report, about 12 KB of memory each on a 2-core VM: --audit
+# 8 at the defaults (21,442 diagrams, the largest weight there) peaks at
+# 256 MB and prints 29 MB, and --n-max 5 --k-max 4 --audit 5 (76,501)
+# peaks at 971 MB and prints 112 MB.  A run whose audit weight holds more
+# than _MAX_AUDITED diagrams is refused.
 _MAX_AUDITED = 25_000
 
 

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from deltaq1 import dyck
 from deltaq1.bijection import (
-    _checked_path,
+    _path_of,
     _walk,
     decorated_to_msequence,
     msequence_to_decorated,
@@ -94,25 +95,46 @@ def test_walk_memo_is_keyed_by_path_value():
 
 
 def test_inverse_path_cache_is_keyed_by_the_area_sequence():
-    # the inverse takes its path from a cache of checked paths: one path per
-    # area-sequence value, equal to that value's path, keeping its rises, and
-    # an invalid sequence is refused on every call, never kept
+    # the inverse rebuilds its path from the segment pairs, through the
+    # checking constructor once per segment tuple: the one pooled path of
+    # each area sequence, keeping its rises, and a tuple that is no path is
+    # refused on every call, never kept
     for n in range(1, 8):
         for path in enumerate_paths(n):
-            kept = _checked_path(path.area_seq)
-            assert kept == path and kept.area_seq == path.area_seq
-            assert kept.rises() == path.rises()
-            assert _checked_path(tuple(path.area_seq)) is kept
+            assert dyck._POOL[path.area_seq] is path
+            assert DyckPath(list(path.area_seq)) is path
+            segments = tuple((path.alpha(row), length)
+                             for row, length in path.runs())
+            assert _path_of(segments) is path
+            assert _path_of(segments).rises() == path.rises()
     for _ in range(2):
         with pytest.raises(ValueError):
-            _checked_path((0, 2))
-    # every inverse rebuilds the path whose runs its nonzero pairs describe
+            DyckPath((0, 2))
+        with pytest.raises(ValueError):
+            _path_of(((0, 1), (2, 1)))
+        assert (0, 2) not in dyck._POOL
+    # every inverse rebuilds the pooled path whose runs its nonzero pairs
+    # describe
     for n in range(1, 7):
         for k in range(1, n + 1):
             for lam in partitions_of(n):
                 for seq in msequences(lam, k):
                     alpha = tuple(a + i for a, b in seq.pairs for i in range(b))
-                    assert msequence_to_decorated(seq).path.area_seq == alpha
+                    assert msequence_to_decorated(seq).path is dyck._POOL[alpha]
+
+
+def test_inverse_results_pass_the_checking_constructor():
+    # the inverse builds its result unchecked: its rows are zero pairs of
+    # the walk, which are rises, or the origin, so the checking constructor
+    # rebuilds every result of n <= 6 equal to it
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for lam in partitions_of(n):
+                for seq in msequences(lam, k):
+                    decorated = msequence_to_decorated(seq)
+                    rebuilt = DecoratedDyckPath(decorated.path, decorated.rows)
+                    assert rebuilt == decorated
+                    assert hash(rebuilt) == hash(decorated)
 
 
 def test_window_chains_strict():

@@ -15,6 +15,7 @@ from deltaq1.diagrams import (
     LabeledDiagram,
     _combinable,
     _move,
+    _move_prefixes,
     _size_tuples,
     _stack_walk,
     diagram_count,
@@ -414,6 +415,38 @@ def test_walk_does_not_depend_on_earlier_walks():
     cold = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120, check=True).stdout
     assert ast.literal_eval(cold) == _walk_digests()
+
+
+def test_move_reads_only_its_prefix():
+    # on every diagram of the involution suite's defaults (k <= 3, |lam| <=
+    # 5, weight <= 8): the shortest prefix that moves moves as the whole
+    # diagram does, and the stacks after it stay; a diagram with no such
+    # prefix is fixed.  The descent yields each such prefix once, with the
+    # (row length, labels) after it, and counts the diagrams that start
+    # with it by weight
+    for k in (1, 2, 3):
+        for n in range(1, 6):
+            for lam in partitions_of(n):
+                starts = Counter()
+                for stacks, weight, _ in _stack_walk(k, lam, 8):
+                    partner = _move(stacks)
+                    j = next((j for j in range(1, len(stacks) + 1)
+                              if _move(stacks[:j]) is not None), len(stacks))
+                    if partner is None:
+                        assert j == len(stacks)
+                    else:
+                        assert _move(stacks[:j]) + stacks[j:] == partner
+                    rest = tuple((st.row_len, st.labels) for st in stacks[j:])
+                    starts[stacks[:j], rest, weight] += 1
+                descent = list(_move_prefixes(k, lam, 8))
+                assert len({(p, r) for p, r, *_ in descent}) == len(descent)
+                counted = Counter()
+                for prefix, rest, weight, _, completions in descent:
+                    assert len(completions) <= 9 - weight
+                    for w, c in enumerate(completions, weight):
+                        if c:
+                            counted[prefix, rest, w] += c
+                assert counted == starts
 
 
 def test_size_tuples_are_the_differences_of_the_cuts():

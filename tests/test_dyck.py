@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from deltaq1 import dyck
 from deltaq1.dyck import (
     DecoratedDyckPath,
     DyckPath,
@@ -112,6 +113,32 @@ def test_enumerated_decorated_paths_are_valid():
                 assert rebuilt == decorated and hash(rebuilt) == hash(decorated)
                 assert decorated.path.rises() == path.rises()
                 assert decorated.path.runs() == path.runs()
+
+
+def test_every_path_is_the_pooled_path_of_its_area_sequence():
+    # the checking constructor, the unchecked _of, the enumeration and the
+    # JSON reader give the one path of each area sequence, so a path
+    # compares and hashes by identity
+    for n in range(1, 7):
+        for path in enumerate_paths(n):
+            alpha = path.area_seq
+            assert DyckPath(alpha) is DyckPath(list(alpha)) is path
+            assert DyckPath._of(alpha) is path is dyck._POOL[alpha]
+            data = {"area_seq": list(alpha), "decorated_rows": []}
+            assert DecoratedDyckPath.from_json(data).path is path
+    assert "__eq__" not in vars(DyckPath) and "__hash__" not in vars(DyckPath)
+    # the entries are checked before the pool is read: (0, True) equals the
+    # pooled (0, 1) as a tuple, and is still refused
+    assert DyckPath((0, 1)) is dyck._POOL[(0, 1)]
+    for area in ((0, True), (True,), (0, 1.0)):
+        with pytest.raises(TypeError):
+            DyckPath(area)
+    # an invalid sequence raises on every call and is never pooled
+    for area in ((0, 2), (1,), (0, 1, -1)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                DyckPath(area)
+            assert area not in dyck._POOL
 
 
 def test_kept_rises_and_runs_are_copied_out():

@@ -51,12 +51,18 @@ def test_msequence_validation():
         MSequence([(0, 2), (2, 0)])
     with pytest.raises(ValueError):
         MSequence([(0, 2), (-1, 0)])
-    # the first rule broken names the error: an entry that is not an int, a
-    # pair of another length, an empty sequence, a negative entry, a_1 != 0,
-    # then the first a_{i+1} >= a_i + b_i, with its index
+    # the first rule broken names the error: pairs that are not a sequence,
+    # a pair that is not one, an entry that is not an int, a pair of another
+    # length, an empty sequence, a negative entry, a_1 != 0, then the first
+    # a_{i+1} >= a_i + b_i, with its index
     cases = [
+        (None, TypeError, "^expected a list of pairs, not None$"),
+        ([(0, 1), 0, (0, 1.0)], TypeError, "^pair 0 is not two integers$"),
+        ([(0, 1), None], TypeError, "^pair None is not two integers$"),
         ([(0, 1), (2,), (0, 1.0)], TypeError, "1.0"),
-        ([(0, 1), (2,)], ValueError, "unpack"),
+        ([(0, 1), (2,)], ValueError, r"^pair \[2\] is not two integers$"),
+        ([(0, 1, 2)], ValueError, r"^pair \[0, 1, 2\] is not two integers$"),
+        ([(0, -1), (2,)], ValueError, r"^pair \[2\] is not two integers$"),
         ([], ValueError, "^empty sequence$"),
         ([(1, 0), (0, -1)], ValueError,
          r"^entries must be nonnegative, got \(0, -1\)$"),

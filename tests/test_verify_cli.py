@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deltaq1
-from deltaq1 import oracle, specialize, symfunc, verify
+from deltaq1 import diagrams, oracle, specialize, symfunc, verify
 from deltaq1.cli import _MAX_ROWS, main
 from deltaq1.diagrams import ColumnStack, LabeledDiagram, diagram_count
 from deltaq1.partitions import Partition, partitions_of
@@ -73,7 +73,8 @@ def test_run_suite_refuses_unusable_options_before_any_case(
     def no_case(*args):
         raise AssertionError("a case ran")
 
-    for layer in ("delta_e", "_stack_walk", "forgotten_coefficient"):
+    for layer in ("delta_e", "_stack_walk", "_move_prefixes",
+                  "forgotten_coefficient"):
         monkeypatch.setattr(verify, layer, no_case)
     with pytest.raises(ValueError) as exc:
         run_suite(name, **options)
@@ -274,9 +275,10 @@ def test_verify_rejects_unread_and_out_of_range_options(capsys):
     )
 
 
-def test_involution_suite_calls_involution_once_per_diagram(monkeypatch):
-    # a diagram that passes with its partner checks the partner too, so the
-    # walk moves stacks twice per pair and once per fixed point
+def test_involution_suite_moves_once_per_move_prefix(monkeypatch):
+    # a prefix that passes with its partner checks the partner too, so the
+    # pass moves stacks twice per pair of prefixes and once per fixed point:
+    # once per move prefix, and fewer times than there are diagrams
     real, calls = verify._move, []
 
     def counted(stacks):
@@ -286,10 +288,13 @@ def test_involution_suite_calls_involution_once_per_diagram(monkeypatch):
     monkeypatch.setattr(verify, "_move", counted)
     report = run_suite("involution", n_max=3, k_max=2, degree_max=4)
     assert report["status"] == "pass"
-    walked = sum(sum(diagram_count(k, lam, 4))
-                 for n in range(1, 4) for k in (1, 2)
-                 for lam in partitions_of(n))
-    assert len(calls) == walked
+    walks = [(k, lam) for n in range(1, 4) for k in (1, 2)
+             for lam in partitions_of(n)]
+    walked = sum(sum(diagram_count(k, lam, 4)) for k, lam in walks)
+    prefixes = [prefix for k, lam in walks
+                for prefix, *_ in verify._move_prefixes(k, lam, 4)]
+    assert sorted(calls, key=repr) == sorted(prefixes, key=repr)
+    assert len(calls) < walked
 
 
 def test_verify_reports_suite_defaults_in_order(capsys):
@@ -354,6 +359,23 @@ def test_verify_suite_stdout_is_pinned(capsys, suite):
     code, out, _ = run_cli(capsys, "verify", suite, "--n-max", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[suite]
+
+
+# sha256 of the stdout of `verify involution --n-max 3 --audit <weight>`,
+# the bytes that checking every diagram one by one gave: the audit lists its
+# weight diagram by diagram, in the order of the walk
+AUDIT_DIGESTS = {
+    2: "2a2ab1e95d4448311d81b2c43e388496b9ef66c421ecc438514fb27599efd0fc",
+    4: "a91178236b1fe9c7f0e6d7d6d117f66642f82ede0883569ba72d408ad25b373e",
+}
+
+
+@pytest.mark.parametrize("weight", AUDIT_DIGESTS)
+def test_verify_involution_audit_stdout_is_pinned(capsys, weight):
+    code, out, _ = run_cli(capsys, "verify", "involution", "--n-max", "3",
+                           "--audit", str(weight))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGESTS[weight]
 
 
 @pytest.mark.parametrize("suite, sides", [
@@ -512,13 +534,16 @@ def test_involution_suite_reports_model_mismatch(
 def test_involution_suite_reports_fixed_point_that_is_no_msequence(
     monkeypatch
 ):
-    # an involution that fixes everything, over the all-width-1 diagrams
-    # only: the first fixed diagram that two columns could combine fails its
-    # slice instead of escaping as the M-sequence check's ValueError
-    real = verify._stack_walk
+    # an involution that fixes everything, over the move prefixes of
+    # all-width-1 diagrams only: the first fixed diagram that two columns
+    # could combine fails its slice instead of escaping as the M-sequence
+    # check's ValueError
+    real = verify._move_prefixes
     monkeypatch.setattr(verify, "_move", lambda s: None)
-    monkeypatch.setattr(verify, "_stack_walk", lambda k, lam, d: (
-        x for x in real(k, lam, d) if all(st.row_len == 1 for st in x[0])
+    monkeypatch.setattr(verify, "_move_prefixes", lambda k, lam, d: (
+        x for x in real(k, lam, d)
+        if all(st.row_len == 1 for st in x[0])
+        and all(row_len == 1 for row_len, _ in x[1])
     ))
     report = run_suite("involution", n_max=2, k_max=2, degree_max=3)
     assert (report["status"], report["cases"]) == ("fail", 24)
@@ -531,22 +556,23 @@ def test_involution_suite_reports_fixed_point_that_is_no_msequence(
 
 
 def test_involution_suite_reports_partner_outside_the_walk(monkeypatch):
-    # the walk of (2, [2, 1]) loses the partners of two weight-1 pairs of
-    # opposite signs that it meets after their diagrams: the signed count
-    # and the fixed points stay, so only the partners left over show it
-    real = verify._stack_walk
-    walk = list(real(2, [2, 1], 4))
-    order = [stacks for stacks, _, _ in walk]
+    # the descent of (2, [2, 1]) loses the partners of two move prefixes of
+    # weight 1 and opposite signs that it meets after them: the partners
+    # left over are reported before the counts that their loss changes
+    real = verify._move_prefixes
+    prefixes = list(real(2, [2, 1], 4))
+    order = [(prefix, rest) for prefix, rest, *_ in prefixes]
     later = {}
-    for i, (stacks, weight, sign) in enumerate(walk):
-        partner = verify._move(stacks)
-        if weight == 1 and partner is not None and order.index(partner) > i:
-            later.setdefault(sign, partner)
+    for i, (prefix, rest, weight, sign, _) in enumerate(prefixes):
+        partner = verify._move(prefix)
+        if (weight == 1 and partner is not None
+                and order.index((partner, rest)) > i):
+            later.setdefault(sign, (partner, rest))
     dropped = set(later.values())
     assert len(dropped) == 2
-    monkeypatch.setattr(verify, "_stack_walk", lambda k, lam, d: (
+    monkeypatch.setattr(verify, "_move_prefixes", lambda k, lam, d: (
         x for x in real(k, lam, d)
-        if not ((k, lam) == (2, [2, 1]) and x[0] in dropped)
+        if not ((k, lam) == (2, [2, 1]) and tuple(x[:2]) in dropped)
     ))
     report = run_suite("involution", n_max=3, k_max=2, degree_max=4)
     assert (report["status"], report["cases"]) == ("fail", 60)
@@ -556,6 +582,50 @@ def test_involution_suite_reports_partner_outside_the_walk(monkeypatch):
         "object": {"stacks": [{"row_len": 1, "above": [], "labels": [0]},
                               {"row_len": 2, "above": [], "labels": [2, 1]}]},
     }
+
+
+def test_involution_suite_counts_every_diagram(monkeypatch):
+    # the number of diagrams of each weight against the series: one more in
+    # the series at weight 2 of (2, [2, 1]), or a descent that loses the
+    # first fixed point of (2, [2, 1]), fails that slice on the count
+    real_count = verify.diagram_count
+    counts = real_count(2, [2, 1], 8)
+    bumped = counts[:2] + (counts[2] + 1,) + counts[3:]
+    monkeypatch.setattr(verify, "diagram_count", lambda k, lam, d: (
+        bumped if (k, lam) == (2, [2, 1]) else real_count(k, lam, d)))
+    report = run_suite("involution", n_max=3)
+    assert report["counterexample"] == {
+        "case": [3, 2, [2, 1], 2],
+        "reason": "diagram count %d != series count %d" % (counts[2],
+                                                          counts[2] + 1)}
+    monkeypatch.setattr(verify, "diagram_count", real_count)
+    real = verify._move_prefixes
+    lost, weight = next((prefix, weight) for prefix, _, weight, _, _
+                        in real(2, [2, 1], 8) if verify._move(prefix) is None)
+    monkeypatch.setattr(verify, "_move_prefixes", lambda k, lam, d: (
+        x for x in real(k, lam, d)
+        if not ((k, lam) == (2, [2, 1]) and x[0] == lost)))
+    report = run_suite("involution", n_max=3)
+    assert report["counterexample"] == {
+        "case": [3, 2, [2, 1], weight],
+        "reason": "diagram count %d != series count %d" % (counts[weight] - 1,
+                                                          counts[weight])}
+
+
+def test_involution_run_sums_each_series_once(monkeypatch):
+    # the option check and the count check read one diagram_count of each
+    # (k, lam, degree_max)
+    real, calls = diagrams.forgotten_series_terms, []
+
+    def counted(lam, k):
+        calls.append((k, lam))
+        return real(lam, k)
+
+    monkeypatch.setattr(diagrams, "forgotten_series_terms", counted)
+    diagrams._diagram_count.cache_clear()
+    assert run_suite("involution", n_max=3)["status"] == "pass"
+    assert calls == [(k, lam) for n in range(1, 4) for k in range(1, 4)
+                     for lam in partitions_of(n)]
 
 
 def test_bijection_suite_reports_weight_faults(monkeypatch):
@@ -704,6 +774,15 @@ def test_phi_rejects_bad_objects(capsys):
         ("phi-inverse", "[[0, 1]]", "invalid sequence: expected a JSON object"),
     ):
         assert run_cli(capsys, command, raw) == (1, "", message + "\n")
+    # a pair that is not two integers is named, in one line
+    for raw, message in (
+        ('{"pairs": [[0, 1], [0]]}', "pair [0] is not two integers"),
+        ('{"pairs": [[0, 1, 2]]}', "pair [0, 1, 2] is not two integers"),
+        ('{"pairs": [0, 1]}', "pair 0 is not two integers"),
+        ('{"pairs": null}', "expected a list of pairs, not None"),
+    ):
+        assert run_cli(capsys, "phi-inverse", raw) == (
+            1, "", "invalid sequence: %s\n" % message)
     # int() would truncate 2.7 and read true and "2" as numbers, so the
     # command would report success on a different object
     for command, raw, bad in (
