@@ -34,11 +34,10 @@ its full-row count and its weight, which the walk reads for every diagram.
 ``_stack_walk`` is the walk.  It yields each diagram's stacks tuple with
 its weight, the labels' weight plus the partition sizes it chose, and its
 sign, which depends only on the partition of k+1 that the row lengths
-rearrange.  ``diagrams_of_weight`` wraps those of one weight in
-``LabeledDiagram._of``.  A partner's weight and sign are read from its own
-stacks (``_weight_of``, ``_sign_of``), as a diagram made by a move
-computes them on first use, so comparing a diagram of the walk with its
-partner compares two independent computations.  The walk reads its stacks
+rearrange.  ``diagrams_of_weight`` wraps the stacks of one weight in
+``LabeledDiagram._of``.  A diagram's own weight and sign are always read
+from its stacks (``_weight_of``, ``_sign_of``), so comparing them with
+the walk's compares two independent computations.  The walk reads its stacks
 from tables built once per process (``_stacks_by_size``: the stacks of one
 row, labels and cap, by partition size, made straight from the partition
 tuples) and its choices of sizes from ``_size_tuples``, so a walk of one
@@ -187,7 +186,7 @@ class LabeledDiagram:
     """An ordered sequence of stacks whose row lengths rearrange a partition
     of k+1 and whose nonzero labels place the parts of lam."""
 
-    __slots__ = ("_stacks", "_lam", "_weight", "_sign")
+    __slots__ = ("_stacks", "_lam")
 
     def __init__(self, stacks, lam):
         stacks = tuple(stacks)
@@ -205,16 +204,13 @@ class LabeledDiagram:
                 "labels %r do not place the parts of %r" % (placed, lam)
             )
         self._stacks, self._lam = stacks, lam
-        self._weight = self._sign = None
 
     @classmethod
-    def _of(cls, stacks, lam, weight=None, sign=None):
+    def _of(cls, stacks, lam):
         """Unchecked: ``stacks`` a tuple of stacks, ``lam`` a Partition, and
-        together a valid diagram; its weight and sign, when the caller
-        knows them, or None to compute them on first use."""
+        together a valid diagram."""
         diagram = object.__new__(cls)
         diagram._stacks, diagram._lam = stacks, lam
-        diagram._weight, diagram._sign = weight, sign
         return diagram
 
     @property
@@ -226,14 +222,10 @@ class LabeledDiagram:
         return self._lam
 
     def sign(self):
-        if self._sign is None:
-            self._sign = _sign_of(self._stacks)
-        return self._sign
+        return _sign_of(self._stacks)
 
     def weight(self):
-        if self._weight is None:
-            self._weight = _weight_of(self._stacks)
-        return self._weight
+        return _weight_of(self._stacks)
 
     def __eq__(self, other):
         if not isinstance(other, LabeledDiagram):
@@ -429,8 +421,8 @@ def diagrams_of_weight(k, lam, d):
     if d < 0:
         raise ValueError("weight must be nonnegative")
     lam = Partition(lam)
-    return [LabeledDiagram._of(stacks, lam, w, sign)
-            for stacks, w, sign in _stack_walk(k, lam, d) if w == d]
+    return [LabeledDiagram._of(stacks, lam)
+            for stacks, w, _ in _stack_walk(k, lam, d) if w == d]
 
 
 def fixed_to_msequence(diagram):

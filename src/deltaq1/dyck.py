@@ -9,12 +9,12 @@ There is one path per area sequence in the process, in the pool
 ``_POOL``: the checking constructor checks the entries' type, then returns
 the pooled path or checks the sequence and pools it, and ``_of`` draws
 from the same pool, so a path compares and hashes by identity, in C.  A
-path keeps its rises and its runs, each computed on first use;
-``rises()`` and ``runs()`` hand out fresh lists, so a caller cannot change
-what the path keeps.  ``enumerate_paths`` builds one tuple of paths per n,
-once per process, and ``enumerate_decorated`` builds from it.  Both build
-through the unchecked ``_of``, since their objects are valid by
-construction; ``test_dyck`` rebuilds each through the checking
+path is given its rises, its runs and its run partition once, when it is
+pooled; ``rises()`` and ``runs()`` hand out fresh lists, so a caller
+cannot change what the path keeps.  ``enumerate_paths`` builds one tuple
+of paths per n, once per process, and ``enumerate_decorated`` builds from
+it.  Both build through the unchecked ``_of``, since their objects are
+valid by construction; ``test_dyck`` rebuilds each through the checking
 constructors.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
 
 from .partitions import Partition, int_entries
 from .tarith import TPoly
@@ -58,9 +59,15 @@ class DyckPath:
         the one path of that sequence in ``_POOL``."""
         path = _POOL.get(alpha)
         if path is None:
+            n = len(alpha)
+            rises = tuple(i for i in range(2, n + 1)
+                          if alpha[i - 2] == alpha[i - 1] - 1)
+            starts = [i for i in range(1, n + 1) if i not in rises]
+            lengths = list(map(sub, starts[1:] + [n + 1], starts))
             path = object.__new__(cls)
-            path._alpha = alpha
-            path._rises = path._runs = path._lam = None
+            path._alpha, path._rises = alpha, rises
+            path._runs = tuple(zip(starts, lengths))
+            path._lam = Partition._of(tuple(sorted(lengths, reverse=True)))
             _POOL[alpha] = path
         return path
 
@@ -79,41 +86,21 @@ class DyckPath:
         """Area of row i (1-based)."""
         return self._alpha[i - 1]
 
-    def _rise_rows(self):
-        """The rows of ``rises()`` as a tuple, kept after the first call."""
-        if self._rises is None:
-            alpha = self._alpha
-            self._rises = tuple(i for i in range(2, len(alpha) + 1)
-                                if alpha[i - 2] == alpha[i - 1] - 1)
-        return self._rises
-
-    def _run_pairs(self):
-        """The pairs of ``runs()`` as a tuple, kept after the first call."""
-        if self._runs is None:
-            starts = self.run_starts()
-            ends = starts[1:] + [self.n + 1]
-            self._runs = tuple((s, end - s) for s, end in zip(starts, ends))
-        return self._runs
-
     def rises(self):
         """Rows i >= 2 whose North step directly follows the one below,
         i.e. alpha_{i-1} = alpha_i - 1.  These are the decorable rows."""
-        return list(self._rise_rows())
+        return list(self._rises)
 
     def run_starts(self):
         """Rows that begin a maximal vertical segment."""
-        rises = set(self._rise_rows())
-        return [i for i in range(1, self.n + 1) if i not in rises]
+        return [s for s, _ in self._runs]
 
     def runs(self):
         """Maximal vertical segments as (start row, length) pairs."""
-        return list(self._run_pairs())
+        return list(self._runs)
 
     def vertical_run_partition(self):
-        """The partition of n formed by vertical segment lengths, kept after
-        the first call (a ``Partition`` is immutable)."""
-        if self._lam is None:
-            self._lam = Partition(length for _, length in self._run_pairs())
+        """The partition of n formed by vertical segment lengths."""
         return self._lam
 
     def __repr__(self):
@@ -165,7 +152,7 @@ class DecoratedDyckPath:
 
     def __init__(self, path, rows):
         rows = frozenset(int_entries(rows))
-        bad = rows.difference(path._rise_rows(), (0,))
+        bad = rows.difference(path._rises, (0,))
         if bad:
             raise ValueError("rows %s cannot carry a decoration" % sorted(bad))
         self._path, self._rows = path, rows

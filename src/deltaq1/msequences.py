@@ -38,8 +38,14 @@ from functools import lru_cache
 from itertools import accumulate, chain
 from operator import itemgetter
 
-from .partitions import Partition, int_entries, padded_rearrangements, partitions_of
-from .tarith import TPoly
+from .partitions import (
+    Partition,
+    _tuple_of,
+    int_entries,
+    padded_rearrangements,
+    partitions_of,
+)
+from .tarith import TPoly, _add
 
 
 def admissible_avectors(bvec):
@@ -51,16 +57,6 @@ def admissible_avectors(bvec):
         out = [v + (a,) for v in out for a in range(v[-1] + b)]
         if not out:
             break
-    return out
-
-
-def _add(p, q):
-    """Sum of two coefficient lists."""
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, x in enumerate(q):
-        out[i] += x
     return out
 
 
@@ -206,14 +202,6 @@ def expansion_terms(n, k, basis):
         if coeff:
             terms.append((lam, coeff))
     return terms
-
-
-def _tuple_of(values, message):
-    """``values`` as a tuple, or TypeError: ``message`` naming them."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise TypeError(message % (values,)) from None
 
 
 def _admissible(pairs):

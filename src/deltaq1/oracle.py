@@ -15,6 +15,8 @@ with the models and with the forgotten-basis series.
 
 from __future__ import annotations
 
+from math import prod
+
 from .partitions import Partition, partitions_of
 from .specialize import _staircase_monomials, forgotten_at_one_minus_t
 from .symfunc import SymFuncExpr, _check_degree, plethysm_geometric
@@ -31,30 +33,6 @@ def elementary_eigenvalue(mu, k):
         for j in range(k, 0, -1):
             coeffs[j] = coeffs[j] + coeffs[j - 1].shift(power)
     return coeffs[k]
-
-
-def eval_at_staircase(expr, mu):
-    """Plethystic evaluation of a symmetric function at the t-staircase
-    alphabet of mu; each p_r substitutes t -> t^r into the alphabet sum.
-    Coefficients of the expression are treated as scalars."""
-    mu = Partition(mu)
-    powers = _staircase_monomials(mu)
-    pexpr = expr.convert("p")
-    total = RAT_ZERO
-    for lam, c in pexpr.terms():
-        factor = ONE
-        for r in lam:
-            factor = factor * TPoly(_power_sum_coeffs(powers, r))
-        total = total + c * factor
-    return total
-
-
-def _power_sum_coeffs(powers, r):
-    top = max(powers, default=0) * r
-    out = [0] * (top + 1)
-    for j in powers:
-        out[j * r] += 1
-    return out
 
 
 def _geometric_image(n, eigenvalue):
@@ -86,7 +64,14 @@ def delta_e(n, k):
 
 def delta_general(fexpr, n):
     """The image of e_n under the Delta operator for an arbitrary symmetric
-    function, at q=1, in the power sum basis."""
-    pexpr = fexpr.convert("p")
-    return _geometric_image(n, lambda mu: eval_at_staircase(pexpr, mu))
+    function, at q=1, in the power sum basis.  Evaluation at an alphabet is
+    a ring map, so f[B_mu] is f's e-expansion with each e_r replaced by
+    ``elementary_eigenvalue(mu, r)``."""
+    terms = fexpr.convert("e").terms()
+
+    def eigenvalue(mu):
+        e = [elementary_eigenvalue(mu, r) for r in range(fexpr.degree + 1)]
+        return sum((c * prod(e[r] for r in lam) for lam, c in terms), RAT_ZERO)
+
+    return _geometric_image(n, eigenvalue)
 

@@ -3,7 +3,8 @@
 Partitions are the indexing objects for every basis, diagram and model in
 this package.  They are normalized (zeros dropped, parts decreasing), so
 equality is structural, and checked once, where they enter: ``Partition(x)``
-passes a Partition through.  ``int_entries`` is the one integer check.
+passes a Partition through.  ``int_entries`` is the one integer check, and
+``_tuple_of`` the one check that a value is a list at all.
 """
 
 from __future__ import annotations
@@ -12,10 +13,19 @@ import math
 from functools import lru_cache
 
 
+def _tuple_of(values, message):
+    """``values`` as a tuple, or TypeError: ``message`` naming them."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise TypeError(message % (values,)) from None
+
+
 def int_entries(values):
-    """The values as a tuple; TypeError names the first one that is not an
-    int (a bool is not), so the object constructors truncate nothing."""
-    values = tuple(values)
+    """The values as a tuple; TypeError names a value that is not a list,
+    or the first entry that is not an int (a bool is not), so the object
+    constructors truncate nothing."""
+    values = _tuple_of(values, "expected a list of integers, not %r")
     for x in values:
         if type(x) is not int:
             raise TypeError("entries must be integers, not %r" % (x,))
@@ -72,12 +82,6 @@ class Partition:
 
     def __hash__(self):
         return hash(self._parts)
-
-    def __lt__(self, other):
-        return self._parts < tuple(other)
-
-    def __le__(self, other):
-        return self._parts <= tuple(other)
 
     def __repr__(self):
         return "Partition(%s)" % list(self._parts)

@@ -31,6 +31,16 @@ def _strip(coeffs):
     return out
 
 
+def _add(p, q):
+    """Sum of two coefficient lists."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, x in enumerate(q):
+        out[i] += x
+    return out
+
+
 class TPoly:
     """Integer polynomial in t. The zero polynomial has degree -1."""
 
@@ -109,13 +119,7 @@ class TPoly:
             other = TPoly.const(other)
         if not isinstance(other, TPoly):
             return NotImplemented
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return TPoly._of(out)
+        return TPoly._of(_add(self._c, other._c))
 
     __radd__ = __add__
 

@@ -86,10 +86,10 @@ def _diagram(stacks, lam):
 
 
 def _walk_diagrams(k, lam, degree_max):
-    """The diagrams of the walk, with the weight and sign it gives them."""
+    """The diagrams of the walk."""
     lam = Partition(lam)
-    return [LabeledDiagram._of(stacks, lam, weight, sign)
-            for stacks, weight, sign in _stack_walk(k, lam, degree_max)]
+    return [LabeledDiagram._of(stacks, lam)
+            for stacks, _, _ in _stack_walk(k, lam, degree_max)]
 
 
 def test_split_example():

@@ -1,4 +1,5 @@
 import ast
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -6,12 +7,7 @@ import pytest
 import deltaq1
 from deltaq1 import oracle, tarith
 from deltaq1.msequences import msequence_polynomial
-from deltaq1.oracle import (
-    delta_e,
-    delta_general,
-    elementary_eigenvalue,
-    eval_at_staircase,
-)
+from deltaq1.oracle import delta_e, delta_general, elementary_eigenvalue
 from deltaq1.partitions import Partition, partitions_of
 from deltaq1.specialize import forgotten_coefficient
 from deltaq1.symfunc import (
@@ -32,12 +28,16 @@ def test_elementary_eigenvalue():
     assert elementary_eigenvalue(Partition([2]), 2) == TPoly([0, 1])
     assert elementary_eigenvalue(Partition([1, 1]), 1) == TPoly([2])
     assert elementary_eigenvalue(Partition([1, 1]), 2) == TPoly([1])
-    # matches the generic plethystic evaluation of e_k
+    # e_k at the alphabet t^j, j < part, one block per part of mu: the sum
+    # over its k-subsets of t^(sum of the chosen letters), zero past its size
     for n in range(1, 6):
         for mu in partitions_of(n):
-            for k in range(1, n + 1):
-                generic = eval_at_staircase(elem("e", [k]), mu)
-                assert generic == TRat(elementary_eigenvalue(mu, k))
+            letters = [j for part in mu for j in range(part)]
+            for k in range(n + 2):
+                brute = [0] * (sum(letters) + 1)
+                for chosen in combinations(letters, k):
+                    brute[sum(chosen)] += 1
+                assert elementary_eigenvalue(mu, k) == TPoly(brute)
 
 
 def test_geometric_h_expansion_values():

@@ -783,6 +783,17 @@ def test_phi_rejects_bad_objects(capsys):
     ):
         assert run_cli(capsys, "phi-inverse", raw) == (
             1, "", "invalid sequence: %s\n" % message)
+    # an area sequence or decorated rows that are not a list are named, in
+    # one line
+    for raw, message in (
+        ('{"area_seq": 5, "decorated_rows": []}', "not 5"),
+        ('{"area_seq": null, "decorated_rows": []}', "not None"),
+        ('{"area_seq": [0, 1], "decorated_rows": 5}', "not 5"),
+        ('{"area_seq": [0, 1], "decorated_rows": null}', "not None"),
+    ):
+        assert run_cli(capsys, "phi", raw) == (
+            1, "", "invalid decorated path: expected a list of integers, %s\n"
+            % message)
     # int() would truncate 2.7 and read true and "2" as numbers, so the
     # command would report success on a different object
     for command, raw, bad in (
