@@ -376,7 +376,7 @@ def _divided(counts, strides):
 def _stacks_by_size(row_len, labels, cap, smax):
     """The stacks of one row over ``labels`` whose partition has parts at
     most ``cap``, grouped by partition size 0..smax: entry s lists them in
-    the order of ``partitions_of(s, max_part=cap)``."""
+    the order of ``_partition_tuples(s, min(s, cap))``."""
     return tuple(tuple(ColumnStack._of(row_len, parts, labels)
                        for parts in _partition_tuples(s, min(s, cap)))
                  for s in range(smax + 1))

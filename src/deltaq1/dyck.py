@@ -91,10 +91,6 @@ class DyckPath:
         i.e. alpha_{i-1} = alpha_i - 1.  These are the decorable rows."""
         return list(self._rises)
 
-    def run_starts(self):
-        """Rows that begin a maximal vertical segment."""
-        return [s for s, _ in self._runs]
-
     def runs(self):
         """Maximal vertical segments as (start row, length) pairs."""
         return list(self._runs)

@@ -14,7 +14,10 @@ from functools import lru_cache
 
 
 def _tuple_of(values, message):
-    """``values`` as a tuple, or TypeError: ``message`` naming them."""
+    """``values`` as a tuple, or TypeError: ``message`` naming them, also
+    for a string or a dict, which JSON never means as a list."""
+    if isinstance(values, (str, dict)):
+        raise TypeError(message % (values,))
     try:
         return tuple(values)
     except TypeError:
@@ -133,16 +136,11 @@ def _partition_tuples(n, max_part):
     return tuple(out)
 
 
-def partitions_of(n, max_part=None):
-    """All partitions of n, in lexicographically decreasing order.
-
-    With ``max_part`` set, restricts to partitions whose largest part does
-    not exceed it.
-    """
+def partitions_of(n):
+    """All partitions of n, in lexicographically decreasing order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cap = n if max_part is None else min(max_part, n)
-    return [Partition._of(t) for t in _partition_tuples(n, cap)]
+    return [Partition._of(t) for t in _partition_tuples(n, n)]
 
 
 def rearrangement_count(mu):

@@ -4,10 +4,10 @@ Bases: e (elementary), h (complete homogeneous), m (monomial), p (power
 sum), s (Schur), f (forgotten).  Every conversion pivots through the power
 sum basis, where the Hall inner product and the geometric plethysm
 X -> X/(1-t) are diagonal.  Transition tables are built once per degree
-and cached; all entries are exact rationals.  ``convert`` puts its input
-over one denominator, n! times the lcm of the coefficients' denominators,
-so the tables act on integer polynomial numerators, and it reduces one
-``TRat`` per output coefficient.
+and cached; all entries are integers, those of ``_to_p`` scaled by n!.
+``convert`` puts its input over one denominator, n! times the lcm of the
+coefficients' denominators, so the tables act on integer polynomial
+numerators, and it reduces one ``TRat`` per output coefficient.
 
 Each p_mu has integer coefficients in every basis, and each row of the
 p -> basis tables (``_from_p``) has a closed form:
@@ -25,12 +25,11 @@ The basis -> p tables (``_to_p``) need no construction of their own.  Under
 the Hall scalar product, where <p_mu, p_nu> = z_mu delta(mu, nu), e and f
 are dual bases, as are h and m, and s is self-dual.  So if b* is the dual
 basis of b, the coefficient of p_mu in b_lam is the coefficient of b*_lam
-in p_mu, divided by z_mu.  No table inverts a matrix.
+in p_mu, divided by z_mu, which divides n!.  No table inverts a matrix.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
@@ -132,19 +131,19 @@ _DUAL = {"e": "f", "f": "e", "h": "m", "m": "h", "s": "s"}
 
 @lru_cache(maxsize=None)
 def _to_p(basis, n):
-    """Rows lam -> {mu: Fraction} expressing basis_lam in power sums: the
-    p -> dual-basis table transposed, each entry (mu, lam) over z_mu."""
+    """Rows lam -> {mu: int} expressing n! basis_lam in power sums: the
+    p -> dual-basis table transposed, each entry (mu, lam) times n!/z_mu."""
     _check_degree(n)
     plist = [p.parts for p in partitions_of(n)]
     if basis == "p":
-        return {lam: {lam: Fraction(1)} for lam in plist}
+        return {lam: {lam: factorial(n)} for lam in plist}
     if basis not in _DUAL:
         raise ValueError("unknown basis %r" % (basis,))
     rows = {lam: {} for lam in plist}
     for mu, row in _from_p(_DUAL[basis], n).items():
-        z = zee(mu)
+        class_size = factorial(n) // zee(mu)
         for lam, c in row.items():
-            rows[lam][mu] = Fraction(c, z)
+            rows[lam][mu] = c * class_size
     return rows
 
 
@@ -279,10 +278,10 @@ class SymFuncExpr:
     def convert(self, target):
         """The same symmetric function written in the target basis.
 
-        The tables are integer matrices once every p-coefficient is scaled
-        by n! (each z_mu divides n!), so the map runs on integer polynomial
-        numerators over one denominator: n! times the lcm of the input's
-        denominators.  Each output coefficient is reduced once, at the end.
+        The tables are integer matrices, every p-coefficient scaled by n!
+        (``_to_p``), so the map runs on integer polynomial numerators over
+        one denominator: n! times the lcm of the input's denominators.  Each
+        output coefficient is reduced once, at the end.
         """
         if target not in BASES:
             raise ValueError("unknown basis %r" % (target,))
@@ -292,17 +291,12 @@ class SymFuncExpr:
         den = ONE
         for c in self._terms.values():
             den = _lcm(den, c.den)
-        scale = factorial(n)
         in_p = {}
         to_p = _to_p(self._basis, n)
         for lam, c in self._terms.items():
-            if den.degree > 0:
-                num = (c.num * divexact(den, c.den)).coeffs
-            else:
-                num = (c.num * (den.leading() // c.den.leading())).coeffs
+            num = (c.num * divexact(den, c.den)).coeffs
             for mu, scalar in to_p[lam.parts].items():
-                _add_multiple(in_p.setdefault(mu, []),
-                              scalar.numerator * (scale // scalar.denominator), num)
+                _add_multiple(in_p.setdefault(mu, []), scalar, num)
         if target == "p":
             out = in_p
         else:
@@ -311,7 +305,7 @@ class SymFuncExpr:
             for mu, num in in_p.items():
                 for lam, scalar in from_p[mu].items():
                     _add_multiple(out.setdefault(lam, []), scalar, num)
-        den = den * scale
+        den = den * factorial(n)
         return SymFuncExpr(n, target, {
             lam: TRat(TPoly._of(num), den) for lam, num in out.items() if any(num)
         })

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from .partitions import int_entries
+from .partitions import _tuple_of, int_entries
 
 
 def _strip(coeffs):
@@ -181,6 +181,7 @@ class TPoly:
     def from_json(cls, data):
         """Read what to_json writes: decimal strings are parsed, and any
         other entry must be an int itself; nothing is truncated."""
+        data = _tuple_of(data, "expected a list of coefficients, not %r")
         return cls(int(s) if isinstance(s, str) else s for s in data)
 
 

@@ -6,11 +6,11 @@ case, which returns the counterexample, both sides serialized, or None.
 Every suite takes n up to the degree bound.  ``run_suite`` checks the
 cases in order up to the first counterexample.  A suite with no cases
 reports "empty", never a vacuous "pass".  The checks of one run share
-``run``, a dict of what later cases reuse: eq2's Dyck paths of one n,
-haglund's Delta image of one (n, k), involution's verdicts of one (k, lam).
-The bijection suite keeps only a count of paths per run partition, and
-reports a map that raises ValueError as a counterexample.  The involution
-suite checks the pair laws once per move prefix
+``run``, a dict of what later cases reuse: eq2's sums per run partition of
+one n, haglund's Delta image of one (n, k), involution's verdicts of one
+(k, lam).  The bijection suite keeps only a count of paths per run
+partition, and reports a map that raises ValueError as a counterexample.
+The involution suite checks the pair laws once per move prefix
 (``diagrams._move_prefixes``), since ``diagrams._move`` reads no further,
 and counts the diagrams that start with each prefix, which must number
 the series' (``diagrams.diagram_count``).  Only a report and the audit
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 from math import factorial, prod
+from operator import add
 from typing import Callable, NamedTuple
 
 from .bijection import decorated_to_msequence, msequence_to_decorated
@@ -88,18 +89,18 @@ def _eq1(case, run):
 
 def _eq2(case, run):
     """M-sequence polynomials against area-weighted decoration sums over
-    Dyck paths grouped by vertical run partition."""
+    Dyck paths grouped by vertical run partition (every lam |- n is one),
+    summed entry by entry once per n, in its first case."""
     n, k = case
     if k == 1:  # the first case of n; the cases run in order
-        run["paths"] = [(path.vertical_run_partition(),
-                         decoration_weights(path, n - 1))
-                        for path in enumerate_paths(n)]
-    sums = {}
-    for lam, weights in run["paths"]:
-        sums[lam] = sums.get(lam, TPoly()) + weights[n - k]
+        sums = run["sums"] = {}
+        for path in enumerate_paths(n):
+            lam = path.vertical_run_partition()
+            weights = decoration_weights(path, n - 1)
+            sums[lam] = list(map(add, sums[lam], weights)) if lam in sums else weights
     for lam in partitions_of(n):
         lhs = msequence_polynomial(lam, k)
-        rhs = sums.get(lam, TPoly())
+        rhs = run["sums"][lam][n - k]
         if lhs != rhs:
             return {
                 "n": n,

@@ -4,6 +4,7 @@ import pytest
 
 from deltaq1.partitions import (
     Partition,
+    _partition_tuples,
     distinct_orderings,
     padded_rearrangements,
     partitions_of,
@@ -41,10 +42,10 @@ def test_partitions_of_order_and_counts():
         assert len(set(seq)) == len(seq)
 
 
-def test_partitions_of_max_part():
-    assert [p.parts for p in partitions_of(4, max_part=2)] == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert partitions_of(0, max_part=0) == [Partition()]
-    assert partitions_of(3, max_part=0) == []
+def test_partition_tuples_max_part():
+    assert _partition_tuples(4, 2) == ((2, 2), (2, 1, 1), (1, 1, 1, 1))
+    assert _partition_tuples(0, 0) == ((),)
+    assert _partition_tuples(3, 0) == ()
 
 
 @pytest.mark.parametrize(

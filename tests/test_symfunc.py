@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -141,11 +142,20 @@ def test_expr_json_refuses_non_integer_coefficients():
                 "terms": [{"partition": [1], "coeff": coeff}]}
         with pytest.raises(TypeError):
             SymFuncExpr.from_json(data)
+    # a coefficient list written as a string is not read digit by digit
+    # as the polynomial 3 + 5t
+    for coeff, message in (("35", "'35'"), ({"num": "1", "den": ["1"]}, "'1'")):
+        data = {"degree": 1, "basis": "e",
+                "terms": [{"partition": [1], "coeff": coeff}]}
+        with pytest.raises(TypeError) as err:
+            SymFuncExpr.from_json(data)
+        assert str(err.value) == "expected a list of coefficients, not " + message
 
 
 def test_transition_tables_are_inverse():
     # each basis -> p table is read off the dual basis's p -> table, so
-    # this checks Hall orthogonality between independent closed forms
+    # this checks Hall orthogonality between independent closed forms; the
+    # basis -> p tables hold n! times their coefficients
     for n in range(symfunc.degree_bound() + 1):
         plist = [p.parts for p in partitions_of(n)]
         for basis in BASES:
@@ -155,8 +165,8 @@ def test_transition_tables_are_inverse():
                 for mu, c in to_p[lam].items():
                     for nu, d in from_p[mu].items():
                         row[nu] = row.get(nu, 0) + c * d
-                assert {nu: c for nu, c in row.items() if c} == {lam: 1}, (
-                    basis, lam)
+                assert {nu: c for nu, c in row.items() if c} == {
+                    lam: factorial(n)}, (basis, lam)
 
 
 def _termwise_convert(expr, target):
@@ -164,7 +174,7 @@ def _termwise_convert(expr, target):
     n, in_p = expr.degree, {}
     for lam, c in expr.terms():
         for mu, scalar in symfunc._to_p(expr.basis, n)[lam.parts].items():
-            in_p[mu] = in_p.get(mu, RAT_ZERO) + c * scalar
+            in_p[mu] = in_p.get(mu, RAT_ZERO) + c * Fraction(scalar, factorial(n))
     if target == "p":
         return SymFuncExpr(n, "p", in_p)
     out = {}

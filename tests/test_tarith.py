@@ -42,6 +42,12 @@ def test_poly_refuses_non_integers():
             TPoly.from_json(data)
     with pytest.raises(TypeError):
         TRat.from_json({"num": [1.7], "den": ["1"]})
+    # a string or an object is not a list of coefficients, though Python
+    # iterates both: "12" would read as 1 + 2t
+    for data, message in (("12", "'12'"), ({"0": 1}, "{'0': 1}")):
+        with pytest.raises(TypeError) as err:
+            TPoly.from_json(data)
+        assert str(err.value) == "expected a list of coefficients, not " + message
 
 
 def test_rat_canonical_form():

@@ -410,6 +410,13 @@ def test_eq_suites_report_first_mismatching_partition(
                                         **sides}
 
 
+def test_eq2_passes_above_the_acceptance_range():
+    # every (n, k) with n <= 8: the decoration weights of the 1,430 paths
+    # of n = 8, summed per run partition
+    report = run_suite("eq2", n_max=8)
+    assert (report["status"], report["cases"]) == ("pass", 36)
+
+
 def test_schur_suite_reports_first_failing_tableau_shape(monkeypatch):
     # the coefficients of s_[3,1] and s_[2,1,1] are off at (4, 2): they are
     # the tableau shapes [2,1,1] and [3,1], and [3,1] comes first
@@ -780,6 +787,10 @@ def test_phi_rejects_bad_objects(capsys):
         ('{"pairs": [[0, 1, 2]]}', "pair [0, 1, 2] is not two integers"),
         ('{"pairs": [0, 1]}', "pair 0 is not two integers"),
         ('{"pairs": null}', "expected a list of pairs, not None"),
+        # a string or an object, which Python iterates, is not a list
+        ('{"pairs": ""}', "expected a list of pairs, not ''"),
+        ('{"pairs": {}}', "expected a list of pairs, not {}"),
+        ('{"pairs": [[0, 1], ""]}', "pair '' is not two integers"),
     ):
         assert run_cli(capsys, "phi-inverse", raw) == (
             1, "", "invalid sequence: %s\n" % message)
@@ -790,6 +801,9 @@ def test_phi_rejects_bad_objects(capsys):
         ('{"area_seq": null, "decorated_rows": []}', "not None"),
         ('{"area_seq": [0, 1], "decorated_rows": 5}', "not 5"),
         ('{"area_seq": [0, 1], "decorated_rows": null}', "not None"),
+        ('{"area_seq": [0], "decorated_rows": {}}', "not {}"),
+        ('{"area_seq": [0], "decorated_rows": ""}', "not ''"),
+        ('{"area_seq": "0", "decorated_rows": []}', "not '0'"),
     ):
         assert run_cli(capsys, "phi", raw) == (
             1, "", "invalid decorated path: expected a list of integers, %s\n"
