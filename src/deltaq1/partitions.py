@@ -120,10 +120,6 @@ class Partition:
     def to_json(self):
         return list(self._parts)
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data)
-
 
 @lru_cache(maxsize=None)
 def _partition_tuples(n, max_part):

@@ -429,23 +429,30 @@ SUITES = {
 }
 
 
+def _flag(option):
+    return "--" + option.replace("_", "-")
+
+
 def usage_problem(name, options):
     """Why ``options``, the options given to suite ``name``, are unusable
-    (n_max above the degree bound, an option the suite does not read, a
-    value out of range, or an involution run over too many diagrams, or
-    over too many of the audit weight), or None.  Options are named by their
-    flags."""
+    (a value that is not an int, n_max above the degree bound, an option the
+    suite does not read, a value out of range, or an involution run over too
+    many diagrams, or over too many of the audit weight), or None.  Options
+    are named by their flags."""
     suite = SUITES[name]
+    for option, value in options.items():
+        if type(value) is not int:  # the int_entries rule: a bool is not
+            return "need an integer %s, not %r" % (_flag(option), value)
     if options.get("n_max", 0) > degree_bound():
         return "need n <= %d" % degree_bound()
     degree_max = options.get("degree_max", suite.options.get("degree_max"))
     for option, low, high in (("k_max", 1, _MAX_K), ("audit", 0, degree_max),
                               ("degree_max", 0, _MAX_DEGREE)):
-        value, flag = options.get(option), "--" + option.replace("_", "-")
+        value = options.get(option)
         if value is not None and option not in suite.options:
-            return "suite %s does not read %s" % (name, flag)
+            return "suite %s does not read %s" % (name, _flag(option))
         if value is not None and not low <= value <= high:
-            return "need %d <= %s <= %d" % (low, flag, high)
+            return "need %d <= %s <= %d" % (low, _flag(option), high)
     if name == "involution":
         return _involution_budget_problem(**{**suite.options, **options})
     return None

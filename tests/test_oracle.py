@@ -135,39 +135,26 @@ SOURCE = Path(deltaq1.__file__).parent
 
 
 def imports_of(module):
-    """Each module that one package module imports, by its last dotted name,
-    mapped to the names taken from it (none for a whole-module import).
-    Importing any module runs the package __init__, which imports every
-    module, so the imports are read from the source."""
+    """The names that one package module takes from each module it
+    from-imports, keyed by that module's last dotted name.  Which modules an
+    import loads is pinned at runtime (``test_imports``); which names come
+    from where is read from the source."""
     tree = ast.parse((SOURCE / (module + ".py")).read_text())
     imported = {}
-    for node in ast.walk(tree):
+    for node in tree.body:
         if isinstance(node, ast.ImportFrom):
-            names = {alias.name for alias in node.names}
             source = (node.module or "").split(".")[-1]
-            imported.setdefault(source, set()).update(names)
-            if node.level and not node.module:
-                for name in names:
-                    imported.setdefault(name, set())
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                imported.setdefault(alias.name.split(".")[-1], set())
+            imported.setdefault(source, set()).update(
+                alias.name for alias in node.names)
     return imported
 
 
 def test_oracle_side_imports_no_combinatorial_model():
-    combinatorial = {"msequences", "dyck", "diagrams", "bijection", "verify",
-                     "cli"}
-    for module in ("tarith", "partitions", "symfunc", "specialize", "oracle"):
-        assert not imports_of(module).keys() & combinatorial, module
-    # the oracle takes the staircase alphabet and f_mu[1-t] from the series
-    # module, never the series route's answer
+    # the modules that importing the oracle loads are pinned in
+    # test_imports; from the series module it takes the staircase alphabet
+    # and f_mu[1-t], never the series route's answer
     assert imports_of("oracle")["specialize"] == {
         "_staircase_monomials", "forgotten_at_one_minus_t"}
-    # the models' polynomials and the series share only these two modules
-    package = {path.stem for path in SOURCE.glob("*.py")} | {"deltaq1"}
-    for module in ("msequences", "specialize"):
-        assert imports_of(module).keys() & package == {"partitions", "tarith"}, module
 
 
 def test_oracle_makes_no_constant_operand_gcd(monkeypatch):

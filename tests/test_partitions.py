@@ -135,5 +135,5 @@ def test_zee():
 
 def test_json_round_trip():
     lam = Partition([3, 2, 2, 1])
-    assert Partition.from_json(lam.to_json()) == lam
+    assert Partition(lam.to_json()) == lam
     assert lam.to_json() == [3, 2, 2, 1]

@@ -66,6 +66,14 @@ def test_suite_without_cases_does_not_pass():
     ("involution", {"n_max": 5, "k_max": 4, "audit": 8},
      "need at most %d diagrams of the --audit weight; lower --n-max, "
      "--k-max or --audit" % _MAX_AUDITED),
+    # a bool is not an int: True would run the one case of n = 1 and pass
+    ("eq1", {"n_max": True}, "need an integer --n-max, not True"),
+    ("involution", {"n_max": 2, "k_max": True},
+     "need an integer --k-max, not True"),
+    ("eq1", {"n_max": 2.5}, "need an integer --n-max, not 2.5"),
+    ("involution", {"degree_max": 1.0},
+     "need an integer --degree-max, not 1.0"),
+    ("haglund", {"n_max": "3"}, "need an integer --n-max, not '3'"),
 ])
 def test_run_suite_refuses_unusable_options_before_any_case(
     monkeypatch, name, options, problem
