@@ -12,10 +12,11 @@ from the same pool, so a path compares and hashes by identity, in C.  A
 path is given its rises, its runs and its run partition once, when it is
 pooled; ``rises()`` and ``runs()`` hand out fresh lists, so a caller
 cannot change what the path keeps.  ``enumerate_paths`` builds one tuple
-of paths per n, once per process, and ``enumerate_decorated`` builds from
-it.  Both build through the unchecked ``_of``, since their objects are
-valid by construction; ``test_dyck`` rebuilds each through the checking
-constructors.
+of paths per n, once per process, and the generator ``decorated_paths``
+yields the decorations of those paths one at a time, so no caller holds
+every decorated path of (n, k) at once.  Both build through the unchecked
+``_of``, since their objects are valid by construction; ``test_dyck``
+rebuilds each through the checking constructors.
 """
 
 from __future__ import annotations
@@ -205,13 +206,16 @@ class DecoratedDyckPath:
         return decorated
 
 
-def enumerate_decorated(n, k):
-    """All decorated paths with exactly n - k decorations."""
+def decorated_paths(n, k):
+    """Each decorated path with exactly n - k decorations, path by path in
+    ``enumerate_paths`` order, one at a time."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    out = []
     for path in enumerate_paths(n):
-        candidates = [0] + path.rises()
-        for chosen in combinations(candidates, n - k):
-            out.append(DecoratedDyckPath._of(path, frozenset(chosen)))
-    return out
+        for chosen in combinations((0,) + path._rises, n - k):
+            yield DecoratedDyckPath._of(path, frozenset(chosen))
+
+
+def enumerate_decorated(n, k):
+    """The list of ``decorated_paths(n, k)``."""
+    return list(decorated_paths(n, k))

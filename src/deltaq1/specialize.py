@@ -1,7 +1,8 @@
 """Closed-form specializations of the forgotten basis, and the
 forgotten-basis coefficient of the Delta image as an exact polynomial.
 
-The key evaluations are f_mu at the one-letter alphabets 1 and 1-t, and
+The key evaluations are f_mu at the alphabet 1 - t, whose constant term
+is f_mu at the one-letter alphabet 1, a signed rearrangement count, and
 the evaluation of a monomial symmetric function at the t-staircase
 alphabet of a partition.  The coefficient <Delta_{e_k} e_n, f_lam> at q=1
 is a sum over mu |- k+1 of m_lam[B_mu] * f_mu[1-t] / prod_i (t;t)_{mu_i}.
@@ -31,12 +32,6 @@ def _staircase_monomials(mu):
 def _t_pochhammer(r):
     """(t;t)_r = (1 - t)(1 - t^2)...(1 - t^r); 1 for r = 0."""
     return prod((ONE - TPoly.t_power(j) for j in range(1, r + 1)), start=ONE)
-
-
-def forgotten_at_one(mu):
-    """f_mu evaluated at the alphabet 1: a signed rearrangement count."""
-    mu = Partition(mu)
-    return parity_sign(mu) * rearrangement_count(mu)
 
 
 def forgotten_at_one_minus_t(mu):

@@ -295,11 +295,6 @@ class TRat:
             num, den = -num, -den
         self._num, self._den = num, den
 
-    @classmethod
-    def from_fraction(cls, q):
-        q = Fraction(q)
-        return cls(TPoly.const(q.numerator), TPoly.const(q.denominator))
-
     @property
     def num(self):
         return self._num
@@ -326,7 +321,7 @@ class TRat:
         if isinstance(x, (TPoly, int)):
             return TRat(_as_tpoly(x))
         if isinstance(x, Fraction):
-            return TRat.from_fraction(x)
+            return TRat(x.numerator, x.denominator)
         return None
 
     def __eq__(self, other):

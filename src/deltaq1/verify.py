@@ -8,7 +8,8 @@ cases in order up to the first counterexample.  A suite with no cases
 reports "empty", never a vacuous "pass".  The checks of one run share
 ``run``, a dict of what later cases reuse: eq2's sums per run partition of
 one n, haglund's Delta image of one (n, k), involution's verdicts of one
-(k, lam).  The bijection suite keeps only a count of paths per run
+(k, lam).  The bijection suite reads the decorated paths of (n, k) one at
+a time from ``dyck.decorated_paths``, keeps only a count of them per run
 partition, and reports a map that raises ValueError as a counterexample.
 The involution suite checks the pair laws once per move prefix
 (``diagrams._move_prefixes``), since ``diagrams._move`` reads no further,
@@ -43,7 +44,7 @@ from .diagrams import (
     diagram_count,
     fixed_to_msequence,
 )
-from .dyck import decoration_weights, enumerate_decorated, enumerate_paths
+from .dyck import decorated_paths, decoration_weights, enumerate_paths
 from .msequences import (
     expansion_terms,
     msequence_polynomial,
@@ -126,7 +127,7 @@ def _bijection(case, run):
         return {"n": n, "k": k, "object": obj.to_json(), "reason": reason}
 
     counts = {}  # run partition -> its decorated paths
-    for decorated in enumerate_decorated(n, k):
+    for decorated in decorated_paths(n, k):
         try:
             seq = decorated_to_msequence(decorated)
         except ValueError:
@@ -453,6 +454,9 @@ def usage_problem(name, options):
             return "suite %s does not read %s" % (name, _flag(option))
         if value is not None and not low <= value <= high:
             return "need %d <= %s <= %d" % (low, _flag(option), high)
+    for option in options:  # a name that no suite has
+        if option not in suite.options:
+            return "suite %s does not read %s" % (name, _flag(option))
     if name == "involution":
         return _involution_budget_problem(**{**suite.options, **options})
     return None

@@ -7,6 +7,7 @@ from deltaq1 import dyck
 from deltaq1.dyck import (
     DecoratedDyckPath,
     DyckPath,
+    decorated_paths,
     decoration_weights,
     enumerate_decorated,
     enumerate_paths,
@@ -99,6 +100,23 @@ def test_enumerate_decorated_examples():
     # k = n means no decorations at all
     for d in enumerate_decorated(3, 3):
         assert d.rows == frozenset()
+
+
+def test_decorated_paths_stream_the_enumeration():
+    # the generator yields the listed objects, in order, one at a time: the
+    # (n - k)-subsets of the origin and the rises of each path in turn
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            streamed = decorated_paths(n, k)
+            assert iter(streamed) is streamed
+            expected = [DecoratedDyckPath(path, rows)
+                        for path in enumerate_paths(n)
+                        for rows in combinations([0] + path.rises(), n - k)]
+            assert list(streamed) == enumerate_decorated(n, k) == expected
+    # the range is checked when the generator is first advanced
+    paths = decorated_paths(3, 4)
+    with pytest.raises(ValueError, match=r"^need 1 <= k <= n$"):
+        next(paths)
 
 
 def test_enumerated_decorated_paths_are_valid():

@@ -4,7 +4,6 @@ from deltaq1.msequences import msequence_polynomial
 from deltaq1.oracle import delta_general
 from deltaq1.partitions import partitions_of
 from deltaq1.specialize import (
-    forgotten_at_one,
     forgotten_at_one_minus_t,
     forgotten_coefficient,
     monomial_eval,
@@ -29,15 +28,16 @@ def _times_one_minus_t_alphabet(expr):
     "mu, value", [([1, 1, 1], 1), ([2], -1), ([2, 1], -2)]
 )
 def test_forgotten_at_one_examples(mu, value):
-    assert forgotten_at_one(mu) == value
+    # f_mu at the alphabet 1 is the constant term of f_mu[1 - t]
+    assert forgotten_at_one_minus_t(mu)(0) == value
 
 
 def test_forgotten_at_one_vs_jacobi_trudi():
     # f_mu[1] is the h_mu coefficient of e_m expanded in the h basis
-    for m in range(1, 7):
+    for m in range(1, 9):
         hexp = SymFuncExpr.basis_element("e", [m]).convert("h")
         for mu in partitions_of(m):
-            assert TRat(forgotten_at_one(mu)) == hexp.coeff(mu)
+            assert TRat(forgotten_at_one_minus_t(mu)(0)) == hexp.coeff(mu)
 
 
 @pytest.mark.parametrize(
@@ -46,12 +46,6 @@ def test_forgotten_at_one_vs_jacobi_trudi():
 )
 def test_forgotten_at_one_minus_t_examples(mu, coeffs):
     assert forgotten_at_one_minus_t(mu) == TPoly(coeffs)
-
-
-def test_forgotten_at_t_zero_matches_at_one():
-    for m in range(1, 9):
-        for mu in partitions_of(m):
-            assert forgotten_at_one_minus_t(mu)(0) == forgotten_at_one(mu)
 
 
 def test_forgotten_addition_formula_against_engine():

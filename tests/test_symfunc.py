@@ -25,8 +25,8 @@ def elem(basis, parts, coeff=1):
 
 def test_convert_examples():
     e2 = elem("e", [2]).convert("p")
-    assert e2.coeff([1, 1]) == TRat.from_fraction(Fraction(1, 2))
-    assert e2.coeff([2]) == TRat.from_fraction(Fraction(-1, 2))
+    assert e2.coeff([1, 1]) == TRat(1, 2)
+    assert e2.coeff([2]) == TRat(-1, 2)
     assert elem("s", [1, 1]).convert("e") == elem("e", [2])
     same = elem("e", [2, 1]).convert("e")
     assert same == elem("e", [2, 1])

@@ -74,6 +74,12 @@ def test_suite_without_cases_does_not_pass():
     ("involution", {"degree_max": 1.0},
      "need an integer --degree-max, not 1.0"),
     ("haglund", {"n_max": "3"}, "need an integer --n-max, not '3'"),
+    # an option name that no suite has, refused before the case list
+    # (involution: before its diagram budget) is built
+    ("eq1", {"foo": 1}, "suite eq1 does not read --foo"),
+    ("involution", {"n_max": 2, "foo_bar": 0},
+     "suite involution does not read --foo-bar"),
+    ("haglund", {"foo": 1}, "suite haglund does not read --foo"),
 ])
 def test_run_suite_refuses_unusable_options_before_any_case(
     monkeypatch, name, options, problem
@@ -688,14 +694,14 @@ def test_bijection_suite_counts_the_images_of_each_run_partition(
 ):
     # one path of (2, 1) left out, [0, 1] decorated at row 2: every image
     # still round-trips, and only the count of run partition [2] shows it
-    real = verify.enumerate_decorated
+    real = verify.decorated_paths
 
     def one_short(n, k):
-        paths = real(n, k)
+        paths = list(real(n, k))
         return paths[:-1] if (n, k) == (2, 1) else paths
 
-    monkeypatch.setattr(verify, "enumerate_decorated", one_short)
-    assert real(2, 1)[-1].to_json() == {"area_seq": [0, 1], "decorated_rows": [2]}
+    monkeypatch.setattr(verify, "decorated_paths", one_short)
+    assert list(real(2, 1))[-1].to_json() == {"area_seq": [0, 1], "decorated_rows": [2]}
     code, out, _ = run_cli(capsys, "verify", "bijection", "--n-max", "2")
     report = json.loads(out)
     assert (code, report["status"], report["cases"]) == (1, "fail", 3)
